@@ -55,7 +55,7 @@ pub struct WantedField {
 
 /// A record-aligned slice of a raw file assigned to one scan instance — the
 /// unit of morsel-driven parallelism. The default segment covers the whole
-/// file, which is what every serial plan uses.
+/// file, which is what every unsplit plan uses.
 ///
 /// Invariants the partitioner (`raw-exec`) guarantees and scans rely on:
 /// `byte_start` points at the first byte of the record with global row id
@@ -78,7 +78,7 @@ pub struct ScanSegment {
 }
 
 impl ScanSegment {
-    /// Whether this segment is the whole file (the serial fast path).
+    /// Whether this segment is the whole file (the unsplit fast path).
     pub fn is_whole_file(&self) -> bool {
         *self == ScanSegment::default()
     }

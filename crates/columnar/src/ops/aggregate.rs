@@ -7,7 +7,6 @@
 use crate::batch::Batch;
 use crate::column::Column;
 use crate::error::{ColumnarError, Result};
-use crate::ops::Operator;
 use crate::types::{DataType, Value};
 
 /// Aggregate function kind.
@@ -92,13 +91,13 @@ enum Acc {
 }
 
 /// Mergeable partial-aggregation state: the unit of work the morsel-driven
-/// parallel executor computes per morsel and combines across morsels.
+/// executor computes per morsel and combines across morsels.
 ///
-/// [`AggregateOp`] is a thin Volcano wrapper over one accumulator; a parallel
-/// plan instead folds each morsel's batches into its own accumulator and
+/// A plan folds each morsel's batches into its own accumulator and
 /// [`AggAccumulator::merge`]s them **in morsel order**, so integer results are
-/// bit-for-bit identical to a serial scan and float results are identical for
-/// any worker count over the same morsel grid (merge order is deterministic).
+/// bit-for-bit identical to a whole-file scan and float results are identical
+/// for any worker count over the same morsel grid (merge order is
+/// deterministic).
 #[derive(Debug, Clone)]
 pub struct AggAccumulator {
     exprs: Vec<AggExpr>,
@@ -180,21 +179,6 @@ impl AggAccumulator {
             columns.push(col);
         }
         Batch::new(columns)
-    }
-}
-
-/// Blocking aggregation operator: drains its child, then emits a single
-/// one-row batch with one column per aggregate expression.
-pub struct AggregateOp {
-    input: Box<dyn Operator>,
-    exprs: Vec<AggExpr>,
-    done: bool,
-}
-
-impl AggregateOp {
-    /// Aggregate `input` with the given expressions.
-    pub fn new(input: Box<dyn Operator>, exprs: Vec<AggExpr>) -> AggregateOp {
-        AggregateOp { input, exprs, done: false }
     }
 }
 
@@ -397,43 +381,22 @@ fn finish_acc(acc: Acc) -> Value {
     }
 }
 
-impl Operator for AggregateOp {
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        if self.done {
-            return Ok(None);
-        }
-        self.done = true;
-
-        let mut acc = AggAccumulator::new(self.exprs.clone());
-        while let Some(batch) = self.input.next_batch()? {
-            acc.update(&batch)?;
-        }
-        acc.finish().map(Some)
-    }
-
-    fn name(&self) -> &'static str {
-        "Aggregate"
-    }
-
-    fn scan_profile(&self) -> crate::profile::PhaseProfile {
-        self.input.scan_profile()
-    }
-
-    fn scan_metrics(&self) -> crate::profile::ScanMetrics {
-        self.input.scan_metrics()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::BatchSource;
+
+    /// Fold `data` into one accumulator and finish it: the one-row result.
+    fn aggregate(data: &[Batch], exprs: Vec<AggExpr>) -> Result<Batch> {
+        let mut acc = AggAccumulator::new(exprs);
+        for batch in data {
+            acc.update(batch)?;
+        }
+        acc.finish()
+    }
 
     fn agg_one(kind: AggKind, data: Vec<Batch>) -> Value {
-        let mut op =
-            AggregateOp::new(Box::new(BatchSource::new(data)), vec![AggExpr { kind, col: 0 }]);
-        let out = op.next_batch().unwrap().unwrap();
-        assert!(op.next_batch().unwrap().is_none(), "aggregate emits exactly one batch");
+        let out = aggregate(&data, vec![AggExpr { kind, col: 0 }]).unwrap();
+        assert_eq!(out.rows(), 1, "aggregate emits exactly one row");
         out.value(0, 0).unwrap()
     }
 
@@ -480,15 +443,15 @@ mod tests {
         let batches =
             vec![Batch::new(vec![vec![1i64, 2, 3].into(), vec![10.0f64, 20.0, 30.0].into()])
                 .unwrap()];
-        let mut op = AggregateOp::new(
-            Box::new(BatchSource::new(batches)),
+        let out = aggregate(
+            &batches,
             vec![
                 AggExpr { kind: AggKind::Max, col: 0 },
                 AggExpr { kind: AggKind::Sum, col: 1 },
                 AggExpr { kind: AggKind::Count, col: 0 },
             ],
-        );
-        let out = op.next_batch().unwrap().unwrap();
+        )
+        .unwrap();
         assert_eq!(out.value(0, 0).unwrap(), Value::Int64(3));
         assert_eq!(out.value(0, 1).unwrap(), Value::Float64(60.0));
         assert_eq!(out.value(0, 2).unwrap(), Value::Int64(3));
@@ -497,11 +460,7 @@ mod tests {
     #[test]
     fn non_numeric_rejected() {
         let batches = vec![Batch::new(vec![vec!["a".to_owned()].into()]).unwrap()];
-        let mut op = AggregateOp::new(
-            Box::new(BatchSource::new(batches)),
-            vec![AggExpr { kind: AggKind::Max, col: 0 }],
-        );
-        assert!(op.next_batch().is_err());
+        assert!(aggregate(&batches, vec![AggExpr { kind: AggKind::Max, col: 0 }]).is_err());
     }
 
     #[test]

@@ -3,22 +3,22 @@
 //! The Higgs analysis (§6) is histogram-shaped — "building a histogram of
 //! 'events of interest'" — and its per-event cuts are grouped aggregates
 //! over satellite tables. [`GroupCountOp`](crate::ops::GroupCountOp) covers
-//! the fixed count(+extremum) shape the hand-assembled pipeline needs; this
-//! operator is the general form the SQL front end plans for
+//! the fixed count(+extremum) shape the hand-assembled pipeline needs;
+//! [`GroupedAccumulator`] is the general form the SQL front end plans for
 //! `SELECT key, AGG(col), … FROM t GROUP BY key`.
 //!
 //! Keys are integers (`Int32`/`Int64`/`Bool`, widened to `i64`): event ids,
 //! run numbers, bucket ids. Output is one row per distinct key, sorted by
 //! key for deterministic results: the key column first (as `Int64`), then
 //! one column per aggregate expression with the same result-type rules as
-//! the scalar [`AggregateOp`](crate::ops::AggregateOp).
+//! the scalar [`AggAccumulator`](crate::ops::AggAccumulator).
 
 use crate::batch::Batch;
 use crate::column::Column;
 use crate::error::{ColumnarError, Result};
 use crate::fxhash::FxHashMap;
 use crate::ops::aggregate::{merge_float_slot, merge_int_slot};
-use crate::ops::{AggExpr, AggKind, Operator};
+use crate::ops::{AggExpr, AggKind};
 use crate::types::DataType;
 
 /// Per-group accumulator storage for one aggregate expression: one slot per
@@ -59,15 +59,14 @@ impl AccVec {
 }
 
 /// Mergeable grouped-aggregation state: the unit of work the morsel-driven
-/// parallel executor computes per morsel and combines across morsels — the
-/// grouped counterpart of [`AggAccumulator`](crate::ops::AggAccumulator).
+/// executor computes per morsel and combines across morsels — the grouped
+/// counterpart of [`AggAccumulator`](crate::ops::AggAccumulator).
 ///
-/// [`HashAggregateOp`] is a thin Volcano wrapper over one accumulator; a
-/// parallel plan instead folds each morsel's batches into its own
-/// accumulator and [`GroupedAccumulator::merge`]s them **in morsel order**.
-/// Group ids are first-seen order, so after a morsel-ordered merge each
-/// group's partial states combine in morsel order too: integer aggregates
-/// are bit-for-bit serial-identical and float SUM/AVG are deterministic for
+/// A plan folds each morsel's batches into its own accumulator and
+/// [`GroupedAccumulator::merge`]s them **in morsel order**. Group ids are
+/// first-seen order, so after a morsel-ordered merge each group's partial
+/// states combine in morsel order too: integer aggregates are bit-for-bit
+/// identical to a whole-file run and float SUM/AVG are deterministic for
 /// any worker count over the same morsel grid. Per-slot combination reuses
 /// the scalar accumulator's merge primitives
 /// ([`merge_int_slot`]/[`merge_float_slot`]), so the two merge layers share
@@ -348,24 +347,6 @@ impl GroupedAccumulator {
     }
 }
 
-/// Blocking hash group-by: drains its child, emits one batch of
-/// `(key, agg₀, agg₁, …)` rows sorted by key. Zero input rows produce an
-/// empty (zero-row) batch, per SQL semantics.
-pub struct HashAggregateOp {
-    input: Box<dyn Operator>,
-    key_col: usize,
-    exprs: Vec<AggExpr>,
-    done: bool,
-}
-
-impl HashAggregateOp {
-    /// Group `input` by integer column `key_col`, computing `exprs` per
-    /// group.
-    pub fn new(input: Box<dyn Operator>, key_col: usize, exprs: Vec<AggExpr>) -> HashAggregateOp {
-        HashAggregateOp { input, key_col, exprs, done: false }
-    }
-}
-
 /// Widen an integer-typed key column into the group-id scratch.
 fn widen_keys(col: &Column, out: &mut Vec<i64>) -> Result<()> {
     out.clear();
@@ -418,44 +399,22 @@ fn widen_f64(col: &Column, out: &mut Vec<f64>) -> Result<()> {
     Ok(())
 }
 
-impl Operator for HashAggregateOp {
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        if self.done {
-            return Ok(None);
-        }
-        self.done = true;
-
-        let mut acc = GroupedAccumulator::new(self.key_col, self.exprs.clone());
-        while let Some(batch) = self.input.next_batch()? {
-            acc.update(&batch)?;
-        }
-        acc.finish().map(Some)
-    }
-
-    fn name(&self) -> &'static str {
-        "HashAggregate"
-    }
-
-    fn scan_profile(&self) -> crate::profile::PhaseProfile {
-        self.input.scan_profile()
-    }
-
-    fn scan_metrics(&self) -> crate::profile::ScanMetrics {
-        self.input.scan_metrics()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::BatchSource;
     use crate::types::Value;
 
+    /// Fold `batches` into one accumulator and finish it.
+    fn try_run(batches: Vec<Batch>, key: usize, exprs: Vec<AggExpr>) -> Result<Batch> {
+        let mut acc = GroupedAccumulator::new(key, exprs);
+        for batch in &batches {
+            acc.update(batch)?;
+        }
+        acc.finish()
+    }
+
     fn run(batches: Vec<Batch>, key: usize, exprs: Vec<AggExpr>) -> Batch {
-        let mut op = HashAggregateOp::new(Box::new(BatchSource::new(batches)), key, exprs);
-        let out = op.next_batch().unwrap().unwrap();
-        assert!(op.next_batch().unwrap().is_none(), "exactly one output batch");
-        out
+        try_run(batches, key, exprs).unwrap()
     }
 
     #[test]
@@ -540,34 +499,20 @@ mod tests {
 
     #[test]
     fn float_and_utf8_keys_rejected() {
+        let count = || vec![AggExpr { kind: AggKind::Count, col: 1 }];
         let batches = vec![Batch::new(vec![vec![1.0f64].into(), vec![1i64].into()]).unwrap()];
-        let mut op = HashAggregateOp::new(
-            Box::new(BatchSource::new(batches)),
-            0,
-            vec![AggExpr { kind: AggKind::Count, col: 1 }],
-        );
-        assert!(op.next_batch().is_err());
+        assert!(try_run(batches, 0, count()).is_err());
 
         let batches =
             vec![Batch::new(vec![vec!["k".to_owned()].into(), vec![1i64].into()]).unwrap()];
-        let mut op = HashAggregateOp::new(
-            Box::new(BatchSource::new(batches)),
-            0,
-            vec![AggExpr { kind: AggKind::Count, col: 1 }],
-        );
-        assert!(op.next_batch().is_err());
+        assert!(try_run(batches, 0, count()).is_err());
     }
 
     #[test]
     fn non_numeric_aggregate_rejected() {
         let batches =
             vec![Batch::new(vec![vec![1i64].into(), vec!["x".to_owned()].into()]).unwrap()];
-        let mut op = HashAggregateOp::new(
-            Box::new(BatchSource::new(batches)),
-            0,
-            vec![AggExpr { kind: AggKind::Max, col: 1 }],
-        );
-        assert!(op.next_batch().is_err());
+        assert!(try_run(batches, 0, vec![AggExpr { kind: AggKind::Max, col: 1 }]).is_err());
     }
 
     /// Splitting the input across accumulators and merging in split order

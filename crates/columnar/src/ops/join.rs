@@ -36,8 +36,8 @@ pub struct HashJoinOp {
 /// for the key, `next[row]` links rows sharing it (ascending row order), one
 /// flat allocation for the chains instead of one `Vec` per key.
 ///
-/// Immutable once built, so morsel-parallel plans build it **once**
-/// (serially, or from pooled shreds) and share one `Arc` across every
+/// Immutable once built, so morsel plans build it **once** (from a
+/// whole-file scan or pooled shreds) and share one `Arc` across every
 /// per-morsel probe pipeline ([`HashJoinOp::with_shared`]).
 pub struct JoinBuildSide {
     batch: Batch,
@@ -84,7 +84,7 @@ impl HashJoinOp {
     }
 
     /// Join `probe` against an already-materialized shared build side (the
-    /// morsel-parallel path: one build, many probe pipelines).
+    /// engine's morsel plans: one build, one or many probe pipelines).
     pub fn with_shared(
         probe: Box<dyn Operator>,
         build: Arc<JoinBuildSide>,

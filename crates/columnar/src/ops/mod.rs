@@ -17,10 +17,10 @@ mod project;
 mod scan;
 mod strip;
 
-pub use aggregate::{AggAccumulator, AggExpr, AggKind, AggregateOp};
+pub use aggregate::{AggAccumulator, AggExpr, AggKind};
 pub use filter::FilterOp;
 pub use groupby::{GroupCountOp, GroupExtra};
-pub use hash_aggregate::{GroupedAccumulator, HashAggregateOp};
+pub use hash_aggregate::GroupedAccumulator;
 pub use histogram::HistogramOp;
 pub use join::{HashJoinOp, JoinBuildSide};
 pub use project::ProjectOp;

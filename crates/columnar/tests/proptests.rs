@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use raw_columnar::batch::TableTag;
 use raw_columnar::ops::{
-    collect, AggExpr, AggKind, AggregateOp, BatchSource, FilterOp, GroupCountOp, GroupExtra,
+    collect, AggAccumulator, AggExpr, AggKind, BatchSource, FilterOp, GroupCountOp, GroupExtra,
     HashJoinOp, Operator,
 };
 use raw_columnar::{Batch, Bitmask, CmpOp, Column, Predicate, SparseColumn, Value};
@@ -67,11 +67,11 @@ proptest! {
             AggExpr { kind: AggKind::Sum, col: 0 },
             AggExpr { kind: AggKind::Count, col: 0 },
         ];
-        let mut op = AggregateOp::new(
-            Box::new(BatchSource::new(batches_of(&values, batch))),
-            exprs,
-        );
-        let out = op.next_batch().unwrap().unwrap();
+        let mut acc = AggAccumulator::new(exprs);
+        for b in batches_of(&values, batch) {
+            acc.update(&b).unwrap();
+        }
+        let out = acc.finish().unwrap();
         prop_assert_eq!(out.value(0, 0).unwrap(), Value::Int64(*values.iter().max().unwrap()));
         prop_assert_eq!(out.value(0, 1).unwrap(), Value::Int64(*values.iter().min().unwrap()));
         prop_assert_eq!(out.value(0, 2).unwrap(), Value::Int64(values.iter().sum::<i64>()));

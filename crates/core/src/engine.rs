@@ -3,7 +3,9 @@
 //! [`RawEngine`] owns the catalog and all adaptive state — file buffers, the
 //! template cache of compiled access paths, per-table positional maps, the
 //! column-shred pool, and (for the DBMS baseline) fully-loaded tables — and
-//! answers SQL queries through the physical planner. Experiments flip
+//! answers SQL queries through the physical planner. Every query runs one
+//! way: as a morsel plan on the engine-global worker pool (a query that is
+//! not split is a single whole-file morsel). Experiments flip
 //! [`EngineConfig`] knobs to reproduce every system the paper compares:
 //!
 //! | Paper system      | Configuration                                     |
@@ -22,7 +24,7 @@
 //! The engine is **long-lived and shared**: all adaptive state lives in an
 //! internal `Arc`'d core behind the concurrent cache layer of
 //! [`crate::shared`] (read-locked lookups, merge-on-publish writes), and
-//! parallel queries run on one engine-global worker pool with per-query
+//! queries run on one engine-global worker pool with per-query
 //! admission and fair round-robin morsel scheduling
 //! ([`raw_exec::GlobalPool`]). [`RawEngine::session`] hands out cheap
 //! [`Session`] handles — one per client/connection — that answer queries
@@ -35,18 +37,19 @@
 //! lock inventory/ordering — is specified in `CONCURRENCY.md` § "Sessions
 //! and the shared cache layer".
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 
+use raw_access::template_cache::CacheStats;
 use raw_access::TemplateCache;
 use raw_columnar::batch::TableTag;
-use raw_columnar::ops::{drain, Operator};
-use raw_columnar::{Batch, Value};
-use raw_exec::GlobalPool;
+use raw_columnar::ops::Operator;
+use raw_columnar::{Batch, SparseColumn, Value};
+use raw_exec::{execute_morsels_pooled, GlobalPool};
 use raw_formats::file_buffer::FileBufferPool;
 use raw_posmap::{PositionalMap, TrackingPolicy};
 use raw_trace::{EngineMetrics, SessionMetrics, SessionQueryCharge};
@@ -54,10 +57,11 @@ use raw_trace::{EngineMetrics, SessionMetrics, SessionQueryCharge};
 use crate::catalog::{Catalog, TableDef};
 use crate::cost::CostModel;
 use crate::error::{EngineError, Result};
-use crate::physical::{self, Harvests, PlannerCtx};
+use crate::physical::helpers::ShredFragment;
+use crate::physical::{self, Harvests, MorselPlan, PlannerCtx};
 use crate::plan::{resolve, ColRef, ResolvedQuery};
 use crate::shared::{PosmapRegistry, SharedRootFiles, SharedStats, SharedTables};
-use crate::shreds::ShredPool;
+use crate::shreds::{ShredPool, ShredPoolStats, ShredView};
 use crate::sql;
 use crate::stats::{QueryStats, QueryTrace};
 use crate::table_stats::StatsRegistry;
@@ -131,24 +135,24 @@ pub struct EngineConfig {
     pub simulated_compile_latency: Duration,
     /// The cost model consulted by `Adaptive` strategies/placements.
     pub cost_model: CostModel,
-    /// Worker threads for morsel-parallel raw scans (the `raw-exec`
-    /// subsystem). Defaults to the machine's available cores. `1` disables
-    /// the parallel path entirely and reproduces the serial engine
-    /// bit-for-bit; higher values parallelize eligible queries — anything
-    /// driven by a CSV, fbin, rootsim-event, ibin (page-aligned morsels,
-    /// per-morsel zone-index pruning), or rootsim-collection (item-sized
-    /// event-range morsels) scan in in-situ or JIT mode, including joins
-    /// (shared build-side hash table, per-morsel probes) and grouped
-    /// aggregation (per-morsel partial states merged in morsel order) —
-    /// and fall back to serial for everything else. Parallel queries from
-    /// every session share one engine-global worker pool of this many
-    /// threads (fair round-robin morsel scheduling across queries).
+    /// Worker threads of the engine-global pool every query runs on (the
+    /// `raw-exec` subsystem). Defaults to the machine's available cores.
+    /// With `1` no query is split: each runs as one whole-file morsel on
+    /// the single worker. Higher values split eligible queries into
+    /// morsels — anything driven by a CSV, fbin, rootsim-event, ibin
+    /// (page-aligned morsels, per-morsel zone-index pruning), or
+    /// rootsim-collection (item-sized event-range morsels) scan in in-situ
+    /// or JIT mode, including joins (shared build-side hash table,
+    /// per-morsel probes) and grouped aggregation (per-morsel partial
+    /// states merged in morsel order); everything else stays one
+    /// whole-file morsel. Queries from every session share the pool (fair
+    /// round-robin morsel scheduling across queries).
     pub parallelism: usize,
     /// Maximum queries the global worker pool executes concurrently (`0` =
-    /// unlimited; env `RAW_ADMISSION_QUERIES`). Excess parallel queries
-    /// queue FIFO at the pool's admission door; an admitted query always
-    /// runs to completion. Admission is per query, never per morsel, so a
-    /// capped pool cannot deadlock a half-dispatched query.
+    /// unlimited; env `RAW_ADMISSION_QUERIES`). Excess queries queue FIFO
+    /// at the pool's admission door; an admitted query always runs to
+    /// completion. Admission is per query, never per morsel, so a capped
+    /// pool cannot deadlock a half-dispatched query.
     pub admission_queries: usize,
     /// Target bytes per parallel morsel. The morsel grid is derived from
     /// the file size and this knob only — never from `parallelism` — so
@@ -158,7 +162,7 @@ pub struct EngineConfig {
     /// sums reassociate the summation).
     pub morsel_bytes: usize,
     /// Chunk size for the overlapped cold-read path, in bytes (default
-    /// 4 MiB; env `RAW_READ_CHUNK_BYTES`). On cold parallel runs over flat
+    /// 4 MiB; env `RAW_READ_CHUNK_BYTES`). On cold split runs over flat
     /// files, a dedicated reader thread fills the buffer in chunks of this
     /// size and morsels dispatch as soon as their byte ranges are resident,
     /// overlapping disk I/O with scanning. `0` disables streaming: cold
@@ -219,7 +223,7 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// The default configuration with environment overrides applied:
-    /// `RAW_PARALLELISM` (worker threads; `1` forces the serial path),
+    /// `RAW_PARALLELISM` (worker threads; `1` splits no query),
     /// `RAW_ADMISSION_QUERIES` (concurrent-query cap at the global pool's
     /// admission door; `0` = unlimited), `RAW_MORSEL_BYTES` (target bytes
     /// per morsel), `RAW_READ_CHUNK_BYTES` (cold-read streaming chunk; `0`
@@ -318,9 +322,9 @@ struct QuerySnapshot {
 /// The long-lived shared core: one instance per engine, behind `Arc`,
 /// referenced by the owning [`RawEngine`] and every [`Session`]. All
 /// adaptive state sits behind the concurrent wrappers of [`crate::shared`];
-/// the query path takes a [`QuerySnapshot`], plans against it, executes
-/// (serially or on the global worker pool), and publishes side effects back
-/// through merge-on-publish.
+/// the query path takes a [`QuerySnapshot`], plans against it, executes on
+/// the global worker pool, and publishes side effects back through
+/// merge-on-publish.
 struct EngineShared {
     catalog: RwLock<Catalog>,
     config: RwLock<EngineConfig>,
@@ -332,8 +336,8 @@ struct EngineShared {
     root_files: SharedRootFiles,
     stats: SharedStats,
     metrics: Arc<EngineMetrics>,
-    /// The engine-global worker pool, created lazily on the first parallel
-    /// query and rebuilt if `parallelism`/`admission_queries` change.
+    /// The engine-global worker pool, created lazily on the first query and
+    /// rebuilt if `parallelism`/`admission_queries` change.
     workers: Mutex<Option<Arc<GlobalPool>>>,
     next_session: AtomicU64,
 }
@@ -354,7 +358,7 @@ impl EngineShared {
             files: &self.files,
             templates: &self.templates,
             posmaps: &snap.posmaps,
-            pool: &self.pool,
+            pool: ShredView::new(&self.pool),
             loaded: &self.loaded,
             root_files: &self.root_files,
             stats: &self.stats,
@@ -384,13 +388,15 @@ impl EngineShared {
         self.execute_with(&snap, &resolved, session)
     }
 
+    /// Plan without executing and return the plan description: the plan
+    /// the query would run, `parallel:` line included when it splits.
+    /// Planning is not free of work — EXPLAIN of a join drains the build
+    /// side at plan time, just as the query does, and cold files are read.
     fn explain(&self, sql_text: &str) -> Result<Vec<String>> {
         let stmt = sql::parse(sql_text)?;
         let snap = self.snapshot();
         let resolved = resolve(&stmt, &snap.catalog)?;
-        let ctx = self.planner_ctx(&snap);
-        let plan = physical::plan(&ctx, &resolved)?;
-        Ok(plan.explain)
+        Ok(physical::plan(&self.planner_ctx(&snap), &resolved)?.explain)
     }
 
     fn execute(&self, resolved: &ResolvedQuery, session: &SessionMetrics) -> Result<QueryResult> {
@@ -404,92 +410,37 @@ impl EngineShared {
         resolved: &ResolvedQuery,
         session: &SessionMetrics,
     ) -> Result<QueryResult> {
-        let wall_start = Instant::now();
-        let io0 = self.files.bytes_from_disk();
-        let tmpl0 = self.templates.stats();
-        let shred0 = self.pool.stats();
-
-        // Morsel-parallel path: engaged only when configured (> 1 worker)
-        // and the query is eligible; everything else — including
-        // `parallelism == 1`, which must reproduce the serial engine
-        // bit-for-bit — continues below unchanged.
-        if snap.config.parallelism > 1 {
-            let maybe = {
-                let ctx = self.planner_ctx(snap);
-                physical::parallel::try_plan(&ctx, resolved, snap.config.parallelism)?
-            };
-            if let Some(plan) = maybe {
-                return self.execute_parallel(snap, plan, wall_start, io0, tmpl0, shred0, session);
-            }
-        }
-
-        let plan = {
-            let ctx = self.planner_ctx(snap);
-            physical::plan(&ctx, resolved)?
-        };
-        let explain = plan.explain.clone();
-        let output_names = plan.output_names.clone();
-
-        let mut root = plan.root;
-        let batches = drain(root.as_mut())?;
-        let scan = root.scan_profile();
-        let metrics = root.scan_metrics();
-        drop(root); // release Arc sinks so side effects unwrap cheaply
-
-        let batch = Batch::concat(&batches)?;
-        let wall = wall_start.elapsed();
-
-        let (posmaps_built, shreds_recorded) = self.absorb_harvests(plan.harvests)?;
-
-        let tmpl1 = self.templates.stats();
-        let shred1 = self.pool.stats();
-        let stats = QueryStats {
-            wall,
-            scan,
-            metrics,
-            io_bytes: self.files.bytes_from_disk().saturating_sub(io0),
-            compile_time: tmpl1.compile_time.saturating_sub(tmpl0.compile_time),
-            template_hits: tmpl1.hits.saturating_sub(tmpl0.hits),
-            template_misses: tmpl1.misses.saturating_sub(tmpl0.misses),
-            // Saturating: these are windows over *shared* counters, and a
-            // racing session's `get_full` converts a hit into a miss with a
-            // decrement — a plain subtraction could underflow. Attribution
-            // is approximate under concurrent load, exact when alone.
-            shred_hits: shred1.hits.saturating_sub(shred0.hits),
-            shred_misses: shred1.misses.saturating_sub(shred0.misses),
-            posmaps_built,
-            shreds_recorded,
-            rows_out: batch.rows() as u64,
-            workers: 1,
-            morsels: 0,
-            gate_wait: Duration::ZERO,
-            explain,
-            trace: None,
-        };
-        self.charge_query(&stats, /* parallel = */ false, session);
-        Ok(QueryResult { batch, column_names: output_names, stats })
+        let start = self.query_start();
+        let plan = physical::plan(&self.planner_ctx(snap), resolved)?;
+        self.run(&snap.config, plan, start, session)
     }
 
-    /// Run a morsel-parallel plan on the engine-global worker pool and
-    /// absorb its side effects: positional-map fragments append in morsel
-    /// order into the file-wide map; shred fragments (disjoint global row
-    /// ranges) merge through the ordinary harvest path.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_parallel(
+    fn query_start(&self) -> QueryStart {
+        QueryStart {
+            wall: Instant::now(),
+            io: self.files.bytes_from_disk(),
+            templates: self.templates.stats(),
+            shreds: self.pool.stats(),
+        }
+    }
+
+    /// Run a morsel plan on the engine-global worker pool, absorb its side
+    /// effects, and account for it — the one execution path of every query.
+    /// Positional-map fragments append in morsel order into the file-wide
+    /// map; shred fragments (disjoint global row ranges) merge through the
+    /// absorb path.
+    fn run(
         &self,
-        snap: &QuerySnapshot,
-        plan: physical::parallel::ParallelPlan,
-        wall_start: Instant,
-        io0: u64,
-        tmpl0: raw_access::template_cache::CacheStats,
-        shred0: crate::shreds::ShredPoolStats,
+        config: &EngineConfig,
+        plan: MorselPlan,
+        start: QueryStart,
         session: &SessionMetrics,
     ) -> Result<QueryResult> {
-        let physical::parallel::ParallelPlan {
+        let MorselPlan {
             pipelines,
             merge,
             mut harvests,
-            posmap_sinks,
+            posmap_fragments,
             build_profile,
             build_metrics,
             gates,
@@ -503,37 +454,35 @@ impl EngineShared {
         // warm (ungated) runs the executor claims predicted-heavy morsels
         // first, using the plan-time byte/row span as the cost hint, so a
         // long-tail morsel cannot land last when no rebalancing is possible.
-        // Results, counters, and traces are claim-order invariant — and
-        // identical on the global pool, whose admission/fair-scheduling only
-        // moves *when* a morsel runs, never what it produces.
-        let dispatched = pipelines.len() as u64;
-        self.metrics.morsels(dispatched);
+        // Results, counters, and traces are claim-order invariant; the
+        // pool's admission and fair scheduling only move *when* a morsel
+        // runs, never what it produces.
+        self.metrics.morsels(pipelines.len() as u64);
         let weights: Vec<u64> = morsel_meta
             .iter()
             .map(|m| ((m.byte_end - m.byte_start) as u64).max(m.end_row - m.first_row).max(1))
             .collect();
-        let pool = self.worker_pool(snap.config.parallelism, snap.config.admission_queries);
+        let pool = self.worker_pool(config.parallelism, config.admission_queries);
         let mut outcome =
-            match raw_exec::execute_morsels_pooled(&pool, pipelines, gates, &merge, Some(&weights))
-            {
+            match execute_morsels_pooled(&pool, pipelines, gates, &merge, Some(&weights)) {
                 Ok(outcome) => outcome,
                 Err(e) => {
                     self.metrics.morsel_failed();
                     return Err(e.into());
                 }
             };
-        // Scan work performed at plan time (a join's serial build-side
-        // drain) belongs to this query's accounting too.
+        // Scan work performed at plan time (a join's build-side drain)
+        // belongs to this query's accounting too.
         outcome.profile.merge(&build_profile);
         outcome.metrics.merge(&build_metrics);
         let batch = Batch::concat(&outcome.batches)?;
-        let wall = wall_start.elapsed();
+        let wall = start.wall.elapsed();
 
         // Positional-map fragments: append in morsel order (fragment k+1's
         // rows follow fragment k's), then hand the file-wide map to the
-        // ordinary absorb path.
+        // absorb path.
         let mut merged: Vec<(String, PositionalMap)> = Vec::new();
-        for (table, sink) in posmap_sinks {
+        for (table, sink) in posmap_fragments {
             let Some(fragment) = sink.lock().take() else { continue };
             if fragment.is_empty() {
                 continue;
@@ -546,28 +495,15 @@ impl EngineShared {
             }
         }
         for (table, map) in merged {
-            harvests.posmaps.push((table, Arc::new(parking_lot::Mutex::new(Some(map)))));
+            harvests.posmaps.push((table, Arc::new(Mutex::new(Some(map)))));
         }
-
-        let shred_columns: Vec<(String, String)> =
-            harvests.shreds.iter().map(|(t, c, _)| (t.clone(), c.clone())).collect();
-        let (posmaps_built, shreds_recorded) = self.absorb_harvests(harvests)?;
-
-        // A column whose fragments now cover the whole table is a complete
-        // histogram sample, exactly like a full-column shred recorded by a
-        // serial scan.
-        for (table, column) in shred_columns {
-            if let Some(shred) = self.pool.get(&table, &column) {
-                if shred.is_full() {
-                    self.stats.record_column(&table, &column, shred.dense());
-                }
-            }
-        }
+        let split = outcome.morsels > 1;
+        let (posmaps_built, shreds_recorded) = self.absorb_harvests(harvests, split)?;
 
         // Zip the runtime morsel traces (worker, gate-wait, drain time) with
         // the planner's morsel metadata into the query's trace.
         let trace = QueryTrace {
-            workers: snap.config.parallelism,
+            workers: pool.threads(),
             morsels: std::mem::take(&mut outcome.traces),
             meta: morsel_meta,
         };
@@ -579,26 +515,26 @@ impl EngineShared {
             wall,
             scan: outcome.profile,
             metrics: outcome.metrics,
-            io_bytes: self.files.bytes_from_disk().saturating_sub(io0),
-            compile_time: tmpl1.compile_time.saturating_sub(tmpl0.compile_time),
-            template_hits: tmpl1.hits.saturating_sub(tmpl0.hits),
-            template_misses: tmpl1.misses.saturating_sub(tmpl0.misses),
+            io_bytes: self.files.bytes_from_disk().saturating_sub(start.io),
+            compile_time: tmpl1.compile_time.saturating_sub(start.templates.compile_time),
+            template_hits: tmpl1.hits.saturating_sub(start.templates.hits),
+            template_misses: tmpl1.misses.saturating_sub(start.templates.misses),
             // Saturating: these are windows over *shared* counters, and a
             // racing session's `get_full` converts a hit into a miss with a
             // decrement — a plain subtraction could underflow. Attribution
             // is approximate under concurrent load, exact when alone.
-            shred_hits: shred1.hits.saturating_sub(shred0.hits),
-            shred_misses: shred1.misses.saturating_sub(shred0.misses),
+            shred_hits: shred1.hits.saturating_sub(start.shreds.hits),
+            shred_misses: shred1.misses.saturating_sub(start.shreds.misses),
             posmaps_built,
             shreds_recorded,
             rows_out: batch.rows() as u64,
-            workers: snap.config.parallelism,
+            workers: pool.threads(),
             morsels: outcome.morsels,
             gate_wait,
             explain,
             trace: Some(trace),
         };
-        self.charge_query(&stats, /* parallel = */ true, session);
+        self.charge_query(&stats, split, session);
         Ok(QueryResult { batch, column_names: output_names, stats })
     }
 
@@ -606,7 +542,8 @@ impl EngineShared {
     /// registry and charge the owning session. (Per-query deltas are read
     /// from shared cache counters; under concurrent load a delta may
     /// include a neighbor query's traffic — attribution is approximate
-    /// while racing, exact when a session runs alone.)
+    /// while racing, exact when a session runs alone.) `parallel` is true
+    /// only for a query that ran two or more morsels.
     fn charge_query(&self, stats: &QueryStats, parallel: bool, session: &SessionMetrics) {
         self.metrics.query(parallel);
         self.metrics.template_traffic(stats.template_hits, stats.template_misses);
@@ -658,7 +595,14 @@ impl EngineShared {
         })
     }
 
-    fn absorb_harvests(&self, harvests: Harvests) -> Result<(usize, usize)> {
+    /// Publish a query's side effects: positional maps merge into the
+    /// registry, and the shreds recorded for each column — one per morsel
+    /// for `fragments` (a split query), else usually one — are placed into
+    /// one shred of the table's length, which merges into the shred pool. A
+    /// published column that is complete records its histogram once — from
+    /// that shred when it is full on its own, or from the pool's merged
+    /// shred once it has landed. Returns `(posmaps_built, shreds_recorded)`.
+    fn absorb_harvests(&self, harvests: Harvests, fragments: bool) -> Result<(usize, usize)> {
         let mut posmaps_built = 0;
         for (table, sink) in harvests.posmaps {
             let Some(new_map) = sink.lock().take() else { continue };
@@ -672,33 +616,76 @@ impl EngineShared {
             self.posmaps.merge_publish(&table, new_map)?;
         }
         let mut shreds_recorded = 0;
+        let mut columns: Vec<(String, String)> = Vec::new();
+        // Recordings grouped by column, in the order of each column's last
+        // recording (the order the pool's LRU sees the columns in).
+        let mut recorded: Vec<((String, String), Vec<ShredFragment>)> = Vec::new();
         for (table, column, sink) in harvests.shreds {
-            let mut shred = match Arc::try_unwrap(sink) {
+            if fragments {
+                columns.push((table.clone(), column.clone()));
+            }
+            let fragment = match Arc::try_unwrap(sink) {
                 Ok(m) => m.into_inner(),
                 Err(arc) => arc.lock().clone(),
             };
-            if shred.loaded_count() == 0 {
+            if fragment.loaded_count() == 0 {
                 continue;
             }
-            // A scan that pruned or filtered rows records a *prefix* of the
-            // table; grow the shred to the table's true row count (when
-            // known) so it cannot masquerade as a full column.
-            if let Some(rows) = self.stats.table_rows(&table) {
-                if (shred.len() as u64) < rows {
-                    shred.grow_to(rows as usize);
-                }
-            }
             shreds_recorded += 1;
+            let key = (table, column);
+            let mut pieces = match recorded.iter().position(|(k, _)| *k == key) {
+                Some(i) => recorded.remove(i).1,
+                None => Vec::new(),
+            };
+            pieces.push(fragment);
+            recorded.push((key, pieces));
+        }
+        let mut histogrammed: HashSet<(String, String)> = HashSet::new();
+        for ((table, column), mut pieces) in recorded {
+            // A scan that pruned or filtered rows records a *prefix* of the
+            // table; size the shred to the table's true row count (when
+            // known) so it cannot masquerade as a full column.
+            let rows = self.stats.table_rows(&table).map_or(0, |r| r as usize);
+            let mut shred = if pieces.len() == 1 {
+                pieces.pop().expect("one piece").into_shred()?
+            } else {
+                // Later recordings win on overlap, as successive merges would.
+                let len = pieces.iter().map(ShredFragment::end).max().unwrap_or(0).max(rows);
+                let mut shred = SparseColumn::new(pieces[0].data_type(), len);
+                for piece in &pieces {
+                    piece.place_into(&mut shred)?;
+                }
+                shred
+            };
+            shred.grow_to(rows);
             // A fully-materialized column is a free histogram sample — the
             // statistics side of "leverage information available at query
             // time".
-            if shred.is_full() {
+            if shred.is_full() && histogrammed.insert((table.clone(), column.clone())) {
                 self.stats.record_column(&table, &column, shred.dense());
             }
             self.pool.insert_merge(&table, &column, shred)?;
         }
+        // Fragments complete a column only together. Each lookup counts as a
+        // shred-pool hit or miss, one per fragment.
+        for (table, column) in columns {
+            if let Some(shred) = self.pool.get(&table, &column) {
+                if shred.is_full() && histogrammed.insert((table.clone(), column.clone())) {
+                    self.stats.record_column(&table, &column, shred.dense());
+                }
+            }
+        }
         Ok((posmaps_built, shreds_recorded))
     }
+}
+
+/// Engine counters at a query's start, so its `QueryStats` report the
+/// query's own deltas.
+struct QueryStart {
+    wall: Instant,
+    io: u64,
+    templates: CacheStats,
+    shreds: ShredPoolStats,
 }
 
 /// The RAW query engine: a thin owner handle over the shared core. Every
@@ -862,14 +849,16 @@ impl RawEngine {
         self.shared.query(sql_text, &self.driver)
     }
 
-    /// Plan (without executing) and return the plan description.
+    /// Plan (without executing) and return the plan description of the
+    /// plan the query would run. EXPLAIN of a join drains the build side at
+    /// plan time, just as the query does.
     pub fn explain(&self, sql_text: &str) -> Result<Vec<String>> {
         self.shared.explain(sql_text)
     }
 
     /// EXPLAIN ANALYZE: execute the query and render its plan annotated
     /// with measured actuals — per-operator rows/time/prune counts, the
-    /// parallel run shape, the totals line, and (for parallel runs) the
+    /// parallel run shape, the totals line, and (for split runs) the
     /// per-morsel worker/gate-wait table. The result rows are discarded;
     /// callers that want both run [`RawEngine::query`] and render
     /// `stats.explain_analyze(..)` themselves.
@@ -922,40 +911,22 @@ impl RawEngine {
     }
 
     /// Run a hand-assembled operator tree under engine accounting and absorb
-    /// the given side effects afterwards.
+    /// the given side effects afterwards. The tree runs on the worker pool
+    /// as one whole-input morsel, like any unsplit query.
     pub fn run_custom(
         &self,
-        mut root: Box<dyn Operator>,
+        root: Box<dyn Operator>,
         harvests: Harvests,
         column_names: Vec<String>,
     ) -> Result<QueryResult> {
-        let wall_start = Instant::now();
-        let io0 = self.shared.files.bytes_from_disk();
-        let batches = drain(root.as_mut())?;
-        let scan = root.scan_profile();
-        let metrics = root.scan_metrics();
-        drop(root);
-        let batch = Batch::concat(&batches)?;
-        let wall = wall_start.elapsed();
-        let (posmaps_built, shreds_recorded) = self.shared.absorb_harvests(harvests)?;
-        let stats = QueryStats {
-            wall,
-            scan,
-            metrics,
-            io_bytes: self.shared.files.bytes_from_disk() - io0,
-            rows_out: batch.rows() as u64,
-            posmaps_built,
-            shreds_recorded,
-            workers: 1,
-            ..Default::default()
-        };
-        self.shared.charge_query(&stats, /* parallel = */ false, &self.driver);
-        Ok(QueryResult { batch, column_names, stats })
+        let start = self.shared.query_start();
+        let plan = MorselPlan::custom(root, harvests, column_names);
+        self.shared.run(&self.config(), plan, start, &self.driver)
     }
 
     /// Merge several harvest sets (custom plans with many scans).
     pub fn absorb_side_effects(&self, harvests: Harvests) -> Result<()> {
-        self.shared.absorb_harvests(harvests)?;
+        self.shared.absorb_harvests(harvests, false)?;
         Ok(())
     }
 }
@@ -982,7 +953,8 @@ impl Session {
         self.shared.execute(resolved, &self.metrics)
     }
 
-    /// Plan (without executing) and return the plan description.
+    /// Plan (without executing) and return the plan description (see
+    /// [`RawEngine::explain`]).
     pub fn explain(&self, sql_text: &str) -> Result<Vec<String>> {
         self.shared.explain(sql_text)
     }

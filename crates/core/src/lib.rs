@@ -14,11 +14,11 @@
 //! - [`physical`] — adaptive physical planning: per-query access-path
 //!   selection (DBMS / external tables / in-situ / JIT), positional-map and
 //!   shred-pool consultation, and scan-operator placement (column shreds,
-//!   join Early/Intermediate/Late points). Its `parallel` submodule plans
-//!   morsel-parallel execution (one segment-bounded pipeline per morsel,
-//!   run on the `raw-exec` worker pool) for eligible queries when
-//!   [`engine::EngineConfig::parallelism`] exceeds 1; `parallelism: 1`
-//!   reproduces the serial engine bit-for-bit.
+//!   join Early/Intermediate/Late points). Every query becomes a morsel
+//!   plan run on the `raw-exec` worker pool: one segment-bounded pipeline
+//!   per morsel for eligible queries when
+//!   [`engine::EngineConfig::parallelism`] exceeds 1, one whole-file
+//!   pipeline otherwise.
 //! - [`shreds`] — the LRU pool of column shreds populated as a side effect
 //!   of query execution.
 //! - [`shared`] — the concurrent cache layer (read-locked lookups,

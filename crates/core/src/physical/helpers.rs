@@ -10,14 +10,99 @@ use raw_access::fetch::FieldFetcher;
 use raw_columnar::batch::TableTag;
 use raw_columnar::ops::Operator;
 use raw_columnar::profile::{PhaseProfile, ScanMetrics};
-use raw_columnar::{Batch, Column, ColumnarError, SparseColumn};
+use raw_columnar::{Batch, Column, ColumnarError, DataType, SparseColumn};
 use raw_posmap::PositionalMap;
 
 /// Shared slot the engine drains a scan-built positional map from.
 pub type PosMapSink = Arc<Mutex<Option<PositionalMap>>>;
 
 /// Shared shred under construction during one query.
-pub type ShredSink = Arc<Mutex<SparseColumn>>;
+pub type ShredSink = Arc<Mutex<ShredFragment>>;
+
+/// The shred one pipeline records: the rows it saw, stored from the first
+/// row it recorded (`base`) on. A morsel's recording therefore holds its own
+/// row range only, not a zero-filled prefix of the table, and the engine
+/// places a split query's fragments into one full-length column when it
+/// publishes them.
+#[derive(Debug, Clone)]
+pub struct ShredFragment {
+    /// Global row of `shred`'s row 0.
+    base: usize,
+    shred: SparseColumn,
+}
+
+impl ShredFragment {
+    /// An empty recording of `data_type` values.
+    pub fn new(data_type: DataType) -> ShredFragment {
+        ShredFragment { base: 0, shred: SparseColumn::new(data_type, 0) }
+    }
+
+    /// The recorded values' type.
+    pub fn data_type(&self) -> DataType {
+        self.shred.data_type()
+    }
+
+    /// Number of rows recorded.
+    pub fn loaded_count(&self) -> usize {
+        self.shred.loaded_count()
+    }
+
+    /// One past the last global row the fragment spans.
+    pub fn end(&self) -> usize {
+        self.base + self.shred.len()
+    }
+
+    /// Record `values` at the global `rows`.
+    pub fn store_column(&mut self, rows: &[u64], values: &Column) -> Result<(), ColumnarError> {
+        let Some(&first) = rows.iter().min() else {
+            return self.shred.store_column(rows, values);
+        };
+        let first = first as usize;
+        if self.shred.is_empty() {
+            self.base = first;
+        } else if first < self.base {
+            // Rows arriving out of order (a late fetch above a join): move
+            // what is recorded so far up to the new base.
+            let mut moved = SparseColumn::new(self.data_type(), 0);
+            self.copy_into(&mut moved, self.base - first)?;
+            self.shred = moved;
+            self.base = first;
+        }
+        if self.base == 0 {
+            return self.shred.store_column(rows, values);
+        }
+        let base = self.base as u64;
+        let local: Vec<u64> = rows.iter().map(|&r| r - base).collect();
+        self.shred.store_column(&local, values)
+    }
+
+    /// Copy the recorded rows into `target` at their global rows.
+    pub fn place_into(&self, target: &mut SparseColumn) -> Result<(), ColumnarError> {
+        self.copy_into(target, self.base)
+    }
+
+    /// The recording as a shred indexed by global row (free when it starts
+    /// at row 0, as every whole-file recording does).
+    pub fn into_shred(self) -> Result<SparseColumn, ColumnarError> {
+        if self.base == 0 {
+            return Ok(self.shred);
+        }
+        let mut shred = SparseColumn::new(self.data_type(), self.end());
+        self.place_into(&mut shred)?;
+        Ok(shred)
+    }
+
+    /// Copy the recorded rows into `target`, shifted by `offset` rows.
+    fn copy_into(&self, target: &mut SparseColumn, offset: usize) -> Result<(), ColumnarError> {
+        let rows: Vec<usize> = self.shred.loaded_mask().iter_ones().collect();
+        if rows.is_empty() {
+            return Ok(());
+        }
+        let values = self.shred.gather(&rows)?;
+        let at: Vec<u64> = rows.iter().map(|&r| (r + offset) as u64).collect();
+        target.store_column(&at, &values)
+    }
+}
 
 /// Wraps a scan that may build a positional map; when the scan is exhausted,
 /// the map is moved into the sink for the engine to merge.
@@ -275,18 +360,38 @@ mod tests {
             .unwrap()
             .with_provenance(TableTag(0), vec![3, 8])
             .unwrap();
-        let sink_a: ShredSink = Arc::new(Mutex::new(SparseColumn::new(DataType::Int64, 0)));
-        let sink_b: ShredSink = Arc::new(Mutex::new(SparseColumn::new(DataType::Float64, 0)));
+        let sink_a: ShredSink = Arc::new(Mutex::new(ShredFragment::new(DataType::Int64)));
+        let sink_b: ShredSink = Arc::new(Mutex::new(ShredFragment::new(DataType::Float64)));
         let mut op = RecordingOp::new(
             Box::new(BatchSource::new(vec![b])),
             TableTag(0),
             vec![(0, Arc::clone(&sink_a)), (1, Arc::clone(&sink_b))],
         );
         let _ = collect(&mut op).unwrap();
-        let a = sink_a.lock();
+        let a = sink_a.lock().clone().into_shred().unwrap();
         assert_eq!(a.get(3).unwrap(), Value::Int64(10));
         assert_eq!(a.get(8).unwrap(), Value::Int64(20));
         assert!(a.get(0).is_err());
-        assert_eq!(sink_b.lock().get(8).unwrap(), Value::Float64(2.5));
+        let b = sink_b.lock().clone().into_shred().unwrap();
+        assert_eq!(b.get(8).unwrap(), Value::Float64(2.5));
+    }
+
+    #[test]
+    fn fragment_holds_only_its_row_range() {
+        let mut f = ShredFragment::new(DataType::Int64);
+        f.store_column(&[1000, 1001, 1002], &vec![1i64, 2, 3].into()).unwrap();
+        assert_eq!(f.end(), 1003);
+        assert_eq!(f.shred.len(), 3, "no zero-filled prefix below the first row");
+        // A row below the base moves the recording down; nothing is lost.
+        f.store_column(&[998], &vec![9i64].into()).unwrap();
+        assert_eq!(f.loaded_count(), 4);
+        let mut table = SparseColumn::new(DataType::Int64, 1005);
+        f.place_into(&mut table).unwrap();
+        for (row, v) in [(998, 9), (1000, 1), (1001, 2), (1002, 3)] {
+            assert_eq!(table.get(row).unwrap(), Value::Int64(v));
+        }
+        assert!(table.get(999).is_err());
+        assert_eq!(table.loaded_count(), 4);
+        assert_eq!(f.into_shred().unwrap().get(1002).unwrap(), Value::Int64(3));
     }
 }

@@ -1,6 +1,8 @@
 //! Physical plan creation (§3 "Physical Plan Creation").
 //!
-//! The planner turns a [`ResolvedQuery`] into an operator tree, making the
+//! [`plan`] turns a [`ResolvedQuery`] into a morsel plan — one operator
+//! pipeline per morsel of the driving table, or a single whole-file
+//! pipeline when the query is not split (see [`parallel`]) — making the
 //! adaptive decisions the paper describes:
 //!
 //! - map each table to a concrete access path for the configured
@@ -20,6 +22,8 @@
 
 pub mod helpers;
 pub(crate) mod parallel;
+
+pub(crate) use parallel::{plan, MorselPlan};
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -45,9 +49,7 @@ use raw_access::rootsim_path::{
 use raw_access::spec::{AccessPathKind, AccessPathSpec, FileFormat, ScanSegment, WantedField};
 use raw_access::TemplateCache;
 use raw_columnar::batch::TableTag;
-use raw_columnar::ops::{
-    AggExpr, AggregateOp, FilterOp, HashAggregateOp, HashJoinOp, MemScanOp, Operator, ProjectOp,
-};
+use raw_columnar::ops::{AggExpr, FilterOp, MemScanOp, Operator};
 use raw_columnar::{CmpOp, MemTable, Predicate, SparseColumn};
 use raw_formats::file_buffer::{FileBufferPool, FileBytes};
 use raw_formats::ibin::{IbinLayout, PrunePred};
@@ -60,9 +62,12 @@ use crate::engine::{AccessMode, EngineConfig, JoinPlacement, ShredStrategy};
 use crate::error::{EngineError, Result};
 use crate::plan::{ColRef, ResolvedFilter, ResolvedQuery};
 use crate::shared::{SharedRootFiles, SharedStats, SharedTables};
-use crate::shreds::ShredPool;
+use crate::shreds::ShredView;
 
-use helpers::{HarvestPosMapOp, PoolBackedFetcher, PoolScanOp, PosMapSink, RecordingOp, ShredSink};
+use helpers::{
+    HarvestPosMapOp, PoolBackedFetcher, PoolScanOp, PosMapSink, RecordingOp, ShredFragment,
+    ShredSink,
+};
 
 /// Side effects the engine merges back after execution.
 #[derive(Default)]
@@ -73,30 +78,19 @@ pub struct Harvests {
     pub shreds: Vec<(String, String, ShredSink)>,
 }
 
-/// A ready-to-run physical plan.
-pub struct PhysicalPlan {
-    /// Root operator.
-    pub root: Box<dyn Operator>,
-    /// Human-readable plan description (one line per step).
-    pub explain: Vec<String>,
-    /// Side-effect channels.
-    pub harvests: Harvests,
-    /// Output column names.
-    pub output_names: Vec<String>,
-}
-
 /// Engine state the planner works against. `catalog`/`config`/`posmaps`
-/// point into the query's immutable snapshot; the rest are the engine's
-/// shared concurrent caches (interior mutability — every planner touch is
-/// `&self`), so concurrent queries plan against the same pools and publish
-/// side effects without exclusive engine access.
+/// point into the query's immutable snapshot, and `pool` is the query's
+/// [`ShredView`] (each column as the query first saw it); the rest are the
+/// engine's shared concurrent caches (interior mutability — every planner
+/// touch is `&self`), so concurrent queries plan against the same pools and
+/// publish side effects without exclusive engine access.
 pub(crate) struct PlannerCtx<'a> {
     pub catalog: &'a Catalog,
     pub config: &'a EngineConfig,
     pub files: &'a FileBufferPool,
     pub templates: &'a TemplateCache,
     pub posmaps: &'a HashMap<String, Arc<PositionalMap>>,
-    pub pool: &'a ShredPool,
+    pub pool: ShredView<'a>,
     pub loaded: &'a SharedTables,
     pub root_files: &'a SharedRootFiles,
     pub stats: &'a SharedStats,
@@ -147,26 +141,20 @@ struct TableCols {
     outputs: Vec<ColRef>,
 }
 
-pub(crate) fn plan(ctx: &PlannerCtx<'_>, q: &ResolvedQuery) -> Result<PhysicalPlan> {
-    let mut planner =
-        Planner { ctx, explain: Vec::new(), harvests: Harvests::default(), stream: None };
-    planner.plan_query(q)
-}
-
 struct Planner<'a, 'b> {
     ctx: &'a PlannerCtx<'b>,
     explain: Vec<String>,
     harvests: Harvests,
-    /// When the parallel planner is streaming the driving table's cold read
+    /// When a split plan is streaming the driving table's cold read
     /// (chunked prefetch), the in-flight buffer serving that path:
     /// [`Planner::read_file`] hands out its bytes without blocking — morsel
     /// execution is availability-gated downstream — instead of `read`'s
-    /// wait-for-everything contract. `None` everywhere else (the serial
-    /// planner never streams).
+    /// wait-for-everything contract. `None` everywhere else (whole-file
+    /// plans never stream).
     stream: Option<StreamHandle>,
 }
 
-/// The in-flight streaming read of the parallel plan's driving table.
+/// The in-flight streaming read of a split plan's driving table.
 pub(crate) struct StreamHandle {
     path: std::path::PathBuf,
     chunked: Arc<raw_formats::file_buffer::ChunkedFileBuffer>,
@@ -181,7 +169,11 @@ impl StreamHandle {
     }
 }
 
-impl Planner<'_, '_> {
+impl<'a, 'b> Planner<'a, 'b> {
+    fn new(ctx: &'a PlannerCtx<'b>) -> Self {
+        Planner { ctx, explain: Vec::new(), harvests: Harvests::default(), stream: None }
+    }
+
     fn note(&mut self, line: impl Into<String>) {
         self.explain.push(line.into());
     }
@@ -370,117 +362,9 @@ impl Planner<'_, '_> {
         }
     }
 
-    fn plan_query(&mut self, q: &ResolvedQuery) -> Result<PhysicalPlan> {
-        let per_table = slice_per_table(q);
-
-        // Per-table materialization strategy; the Adaptive case consults
-        // the cost model with this query's selectivity estimates.
-        let strategies: Vec<ShredStrategy> =
-            (0..q.tables.len()).map(|t| self.resolve_strategy(q, t, &per_table[t])).collect();
-
-        let has_join = q.join.is_some();
-        let (mut root, layout) = if has_join {
-            // Join-side placement is resolved per side: the probe side is
-            // pipelined, the build side pipeline-breaking (§5.3.2).
-            let placements: Vec<AttachWhen> =
-                (0..2).map(|t| self.resolve_placement(q, t, &per_table[t])).collect();
-            let probe =
-                self.build_table_pipeline(q, 0, &per_table[0], strategies[0], placements[0], None)?;
-            let build =
-                self.build_table_pipeline(q, 1, &per_table[1], strategies[1], placements[1], None)?;
-            let j = q.join.as_ref().expect("has_join");
-            let probe_key = probe
-                .layout
-                .position(0, j.probe_col.schema_idx)
-                .ok_or_else(|| EngineError::planning("probe key missing from layout"))?;
-            let build_key = build
-                .layout
-                .position(1, j.build_col.schema_idx)
-                .ok_or_else(|| EngineError::planning("build key missing from layout"))?;
-            self.note(format!(
-                "hash join {}.{} = {}.{} (probe left, build right)",
-                q.tables[0], j.probe_col.name, q.tables[1], j.build_col.name
-            ));
-            let mut layout = Layout::default();
-            layout.extend(&probe.layout);
-            layout.extend(&build.layout);
-            let join = HashJoinOp::new(probe.op, build.op, probe_key, build_key);
-            let mut root: Box<dyn Operator> = Box::new(join);
-
-            // Late attaches above the join, for the sides placed there.
-            for (t, tc) in per_table.iter().enumerate() {
-                if placements[t] != AttachWhen::Never {
-                    continue;
-                }
-                let missing: Vec<ColRef> = tc
-                    .outputs
-                    .iter()
-                    .filter(|c| layout.position(t, c.schema_idx).is_none())
-                    .cloned()
-                    .collect();
-                if missing.is_empty() {
-                    continue;
-                }
-                let (next, new_layout) = self.attach_columns(
-                    q,
-                    root,
-                    layout,
-                    t,
-                    &missing,
-                    /* multi = */ false,
-                    "late (above join)",
-                    TableTag(t as u32),
-                )?;
-                root = next;
-                layout = new_layout;
-            }
-            (root, layout)
-        } else {
-            let when = match strategies[0] {
-                ShredStrategy::FullColumns => AttachWhen::Early,
-                _ => AttachWhen::AfterFilters,
-            };
-            let built =
-                self.build_table_pipeline(q, 0, &per_table[0], strategies[0], when, None)?;
-            (built.op, built.layout)
-        };
-
-        // Top: grouped aggregation, scalar aggregation, or projection.
-        let output_names;
-        if let Some(g) = &q.group_by {
-            let top = grouped_top(q, &layout)?;
-            output_names = top.names;
-            self.note(format!(
-                "hash aggregate {} GROUP BY {}.{}",
-                output_names.join(", "),
-                q.tables[g.table],
-                g.name
-            ));
-            root = Box::new(HashAggregateOp::new(root, top.key_pos, top.exprs));
-            root = Box::new(ProjectOp::new(root, top.out_positions));
-        } else if q.is_aggregate() {
-            let (exprs, names) = aggregate_exprs(q, &layout)?;
-            output_names = names;
-            self.note(format!("aggregate {}", output_names.join(", ")));
-            root = Box::new(AggregateOp::new(root, exprs));
-        } else {
-            let (cols, names) = projection_positions(q, &layout)?;
-            output_names = names;
-            self.note(format!("project {}", output_names.join(", ")));
-            root = Box::new(ProjectOp::new(root, cols));
-        }
-
-        Ok(PhysicalPlan {
-            root,
-            explain: std::mem::take(&mut self.explain),
-            harvests: std::mem::take(&mut self.harvests),
-            output_names,
-        })
-    }
-
     /// Build one table's pipeline: bottom scan, staged filters, and output
     /// columns attached per `when`. A `segment` restricts the bottom scan to
-    /// one record-aligned morsel of the file (parallel plans build this
+    /// one record-aligned morsel of the file (split plans build this
     /// pipeline once per morsel); `None` scans the whole file.
     #[allow(clippy::too_many_arguments)]
     fn build_table_pipeline(
@@ -775,8 +659,7 @@ impl Planner<'_, '_> {
         // Split requested columns into pool-served (full shreds) and
         // file-read columns. Segmented (per-morsel) scans read everything
         // from the file: a whole-file PoolScan cannot serve one morsel, and
-        // the parallel planner routes fully-cached queries to the serial
-        // pool path before segmenting.
+        // the planner never splits a fully-cached driving table.
         let mut pool_cols: Vec<(ColRef, Arc<SparseColumn>)> = Vec::new();
         let mut file_cols: Vec<ColRef> = Vec::new();
         for c in cols {
@@ -813,7 +696,7 @@ impl Planner<'_, '_> {
         if self.ctx.config.cache_shreds {
             let mut recordings = Vec::new();
             for (pos, c) in file_cols.iter().enumerate() {
-                let sink: ShredSink = Arc::new(Mutex::new(SparseColumn::new(c.data_type, 0)));
+                let sink: ShredSink = Arc::new(Mutex::new(ShredFragment::new(c.data_type)));
                 recordings.push((pos, Arc::clone(&sink)));
                 self.harvests.shreds.push((name.to_owned(), c.name.clone(), sink));
             }
@@ -986,7 +869,7 @@ impl Planner<'_, '_> {
                     // whole-file program — one compile, template-cached —
                     // and intersect its candidate ranges with their
                     // page-aligned segment, so per-morsel pruning counters
-                    // sum to exactly the serial scan's.
+                    // sum to exactly the whole-file scan's.
                     let preds = ibin_prune_preds(q, t, def);
                     let key = spec.fingerprint() ^ layout.rows ^ prune_fingerprint(&preds);
                     let program =
@@ -1096,7 +979,7 @@ impl Planner<'_, '_> {
         if self.ctx.config.cache_shreds {
             let mut recordings = Vec::new();
             for (i, c) in cols.iter().enumerate() {
-                let sink: ShredSink = Arc::new(Mutex::new(SparseColumn::new(c.data_type, 0)));
+                let sink: ShredSink = Arc::new(Mutex::new(ShredFragment::new(c.data_type)));
                 recordings.push((attach_base + i, Arc::clone(&sink)));
                 self.harvests.shreds.push((name.clone(), c.name.clone(), sink));
             }
@@ -1195,8 +1078,8 @@ impl Planner<'_, '_> {
     fn read_file(&mut self, def: &crate::catalog::TableDef) -> Result<FileBytes> {
         if let Some(stream) = &self.stream {
             if *def.source.path() == stream.path {
-                // Served from the in-flight streaming read the parallel
-                // planner started: same buffer every morsel, counted as the
+                // Served from the in-flight streaming read the split plan
+                // started: same buffer every morsel, counted as the
                 // pool hit the blocking path would have charged, and no
                 // full-residency wait — the availability gates downstream
                 // guarantee a morsel only reads resident bytes.
@@ -1319,8 +1202,7 @@ fn predicate(pos: usize, op: CmpOp, value: &raw_columnar::Value) -> Predicate {
 /// Slice the query per table: filters, join keys, and deduplicated output
 /// columns attributed to their owning side, with the grouping key forced
 /// into its table's outputs even when the select list only aggregates
-/// (`SELECT COUNT(col2) … GROUP BY col1`). Shared by the serial planner and
-/// the parallel planner so the two can never slice differently.
+/// (`SELECT COUNT(col2) … GROUP BY col1`).
 fn slice_per_table(q: &ResolvedQuery) -> Vec<TableCols> {
     let mut per_table: Vec<TableCols> = (0..q.tables.len())
         .map(|_| TableCols { filters: Vec::new(), join_key: None, outputs: Vec::new() })
@@ -1359,9 +1241,8 @@ struct GroupedTop {
     names: Vec<String>,
 }
 
-/// Resolve a grouped select list against a pipeline layout. Shared by the
-/// serial plan top ([`Planner::plan_query`]) and the parallel plan's
-/// `MergePlan::Grouped` construction so the two can never drift.
+/// Resolve a grouped select list against a pipeline layout (the
+/// `MergePlan::Grouped` query top).
 fn grouped_top(q: &ResolvedQuery, layout: &Layout) -> Result<GroupedTop> {
     let g = q.group_by.as_ref().expect("grouped query");
     let key_pos = layout
@@ -1393,8 +1274,6 @@ fn grouped_top(q: &ResolvedQuery, layout: &Layout) -> Result<GroupedTop> {
 
 /// Resolve an all-aggregates select list against a pipeline layout: the
 /// aggregate expressions (batch positions) and the output column names.
-/// Shared by the serial plan top ([`Planner::plan_query`]) and the parallel
-/// plan's merge construction so the two can never drift.
 fn aggregate_exprs(q: &ResolvedQuery, layout: &Layout) -> Result<(Vec<AggExpr>, Vec<String>)> {
     let mut exprs = Vec::with_capacity(q.outputs.len());
     let mut names = Vec::with_capacity(q.outputs.len());
@@ -1410,8 +1289,7 @@ fn aggregate_exprs(q: &ResolvedQuery, layout: &Layout) -> Result<(Vec<AggExpr>, 
 }
 
 /// Resolve a plain select list against a pipeline layout: projected batch
-/// positions and output column names. Shared by the serial and parallel
-/// plan tops.
+/// positions and output column names.
 fn projection_positions(q: &ResolvedQuery, layout: &Layout) -> Result<(Vec<usize>, Vec<String>)> {
     let mut cols = Vec::with_capacity(q.outputs.len());
     let mut names = Vec::with_capacity(q.outputs.len());
@@ -1569,8 +1447,7 @@ pub(crate) fn standalone_scan(
     cols: &[ColRef],
     tag: TableTag,
 ) -> Result<(Box<dyn Operator>, Harvests)> {
-    let mut planner =
-        Planner { ctx, explain: Vec::new(), harvests: Harvests::default(), stream: None };
+    let mut planner = Planner::new(ctx);
     let built = planner.make_scan(q, 0, cols, tag, None)?;
     Ok((built.op, std::mem::take(&mut planner.harvests)))
 }
@@ -1585,8 +1462,7 @@ pub(crate) fn standalone_attach(
     multi: bool,
     tag: TableTag,
 ) -> Result<(Box<dyn Operator>, Harvests)> {
-    let mut planner =
-        Planner { ctx, explain: Vec::new(), harvests: Harvests::default(), stream: None };
+    let mut planner = Planner::new(ctx);
     let layout = Layout::default();
     let (next, _) = planner.attach_columns(q, op, layout, 0, cols, multi, "custom attach", tag)?;
     Ok((next, std::mem::take(&mut planner.harvests)))

@@ -1,45 +1,47 @@
-//! Morsel-parallel physical planning.
+//! Query planning: every query becomes a morsel plan.
 //!
-//! [`try_plan`] decides whether a resolved query is eligible for the
-//! parallel path and, if so, runs four stages that share the serial
-//! [`super::Planner`]'s machinery — the same access-path selection, shred
-//! staging, cost-model consultation, and side-effect recording:
+//! [`plan`] is the engine's one planner. It decides whether the query's
+//! driving table is split into morsels and runs four stages over the
+//! [`super::Planner`]'s machinery — access-path selection, shred staging,
+//! cost-model consultation, and side-effect recording:
 //!
-//! 1. **eligibility** — which queries can be morsel-parallelized at all;
+//! 1. **eligibility** — whether the driving table may be split at all;
 //! 2. **partition** — split the probe (driving) table into record-aligned
-//!    morsels via `raw-exec`, choosing the probe dialect the scan will use;
+//!    morsels via `raw-exec`, choosing the probe dialect the scan will use.
+//!    A query that is not split is one whole-file morsel (`segment: None`);
 //! 3. **per-morsel build** — one scan→filter→join→attach pipeline per
-//!    morsel, each bounded to one [`ScanSegment`]. Joins build the
-//!    build-side hash table **once** (serially, or from pooled shreds) and
-//!    share it read-only across every per-morsel probe pipeline; all three
-//!    `JoinPlacement` points are honored, with Late attaches running above
-//!    the join per morsel;
+//!    morsel, each bounded to its [`ScanSegment`]. Joins build the
+//!    build-side hash table **once**, at plan time (from a whole-file scan
+//!    or pooled shreds), and share it read-only across every probe
+//!    pipeline; all three `JoinPlacement` points are honored, with Late
+//!    attaches running above the join per morsel;
 //! 4. **merge resolution** — how per-morsel outputs combine: concatenation
 //!    for selections, scalar partial-aggregate states for aggregates, and
 //!    grouped partial hash-table states ([`MergePlan::Grouped`]) for
-//!    `GROUP BY`, all merged deterministically in morsel order.
+//!    `GROUP BY`, all merged deterministically in morsel order. The merge
+//!    is the query top for split and unsplit queries alike.
 //!
-//! Eligible today: queries over a CSV, fbin, rootsim-event, ibin, or
-//! rootsim-collection driving table under the in-situ or JIT access modes —
-//! including joins (any serially-scannable build side) and grouped
-//! aggregation. Each format partitions on its native granularity (see
-//! `raw_exec::morsel`): CSV on probed record boundaries, fbin/root-events
-//! by row arithmetic, ibin on **page boundaries** (so per-morsel
-//! zone-index pruning tiles the serial candidate set and its counters
-//! exactly, and an all-pruned morsel is a no-op), and collections on
-//! **event boundaries sized by the offsets table's item counts** (so
+//! Splittable: queries over a CSV, fbin, rootsim-event, ibin, or
+//! rootsim-collection driving table under the in-situ or JIT access modes
+//! with `parallelism >= 2` — including joins (any scannable build side) and
+//! grouped aggregation. Each format partitions on its native granularity
+//! (see `raw_exec::morsel`): CSV on probed record boundaries,
+//! fbin/root-events by row arithmetic, ibin on **page boundaries** (so
+//! per-morsel zone-index pruning tiles the whole-file candidate set and its
+//! counters exactly, and an all-pruned morsel is a no-op), and collections
+//! on **event boundaries sized by the offsets table's item counts** (so
 //! exploded item rows balance across morsels and concatenate in morsel
-//! order). Everything else (DBMS/external modes, fully-shred-cached
-//! driving tables) falls back to the serial plan.
+//! order). Everything else — `parallelism == 1`, DBMS/external modes,
+//! fully-shred-cached driving tables, files smaller than two morsels — runs
+//! as one whole-file morsel.
 //!
 //! Determinism: the morsel grid is a function of the file and the
 //! `morsel_bytes` / `skew_split` knobs only, never of the worker count, so
-//! any `parallelism >= 2` produces identical results (and
-//! `parallelism == 1` never enters this module at all — the serial path is
-//! untouched). Skew resistance is deterministic by construction: the
-//! `skew_split` knob refines the grid at *plan* time (finer sub-morsels the
-//! pool can rebalance around a long tail), and the executor's heavy-first
-//! claim ordering reorders only *dispatch*, never results or counters.
+//! any `parallelism >= 2` produces identical results. Skew resistance is
+//! deterministic by construction: the `skew_split` knob refines the grid at
+//! *plan* time (finer sub-morsels the pool can rebalance around a long
+//! tail), and the executor's heavy-first claim ordering reorders only
+//! *dispatch*, never results or counters.
 
 use std::sync::Arc;
 
@@ -83,24 +85,24 @@ fn refine_target(natural: usize, skew_split: usize) -> usize {
     natural.saturating_mul(skew_split.max(1)).clamp(1, MAX_MORSELS)
 }
 
-/// A ready-to-run parallel plan: one pipeline per morsel plus the merge
+/// A ready-to-run morsel plan: one pipeline per morsel plus the merge
 /// recipe and the side-effect channels the engine absorbs after the barrier.
-pub(crate) struct ParallelPlan {
+pub(crate) struct MorselPlan {
     /// One operator pipeline per morsel, in morsel order.
     pub pipelines: Vec<Box<dyn Operator>>,
     /// How per-morsel outputs combine.
     pub merge: MergePlan,
-    /// Shred sinks from the shared build side and from every morsel
-    /// (disjoint or identically-valued global row ranges; the engine's
-    /// ordinary absorb path merges them into the shared pool).
+    /// Side effects published as they are: the shared build side's
+    /// positional map, and shred sinks from the build side and from every
+    /// morsel (disjoint or identically-valued global row ranges; the
+    /// engine's absorb path merges them into the shared pool).
     pub harvests: Harvests,
-    /// Positional-map fragment sinks in morsel order, with the table each
-    /// belongs to; the engine appends fragments in this order to recover the
-    /// file-wide map. (A join's build side contributes its whole-file map as
-    /// the build table's single fragment.)
-    pub posmap_sinks: Vec<(String, PosMapSink)>,
-    /// Scan work already performed at plan time (the serial drain of a
-    /// join's build side); the engine merges it into the query's profile.
+    /// The driving table's positional-map sinks, one per morsel in morsel
+    /// order, with the table each belongs to; the engine appends the
+    /// fragments in this order to recover the file-wide map.
+    pub posmap_fragments: Vec<(String, PosMapSink)>,
+    /// Scan work already performed at plan time (the drain of a join's
+    /// build side); the engine merges it into the query's profile.
     pub build_profile: PhaseProfile,
     /// Scan volume metrics of the plan-time build-side drain.
     pub build_metrics: ScanMetrics,
@@ -115,42 +117,78 @@ pub(crate) struct ParallelPlan {
     pub output_names: Vec<String>,
     /// Static morsel metadata (driving format, byte/row ranges), aligned
     /// with `pipelines`; the engine zips it with the runtime morsel traces
-    /// into the query's [`crate::stats::QueryTrace`].
+    /// into the query's [`crate::stats::QueryTrace`]. A whole-file morsel
+    /// carries its format and empty ranges.
     pub morsel_meta: Vec<MorselMeta>,
 }
 
-/// Plan `q` for morsel-parallel execution, or `None` when the query (or the
-/// engine state) wants the serial path.
-pub(crate) fn try_plan(
-    ctx: &PlannerCtx<'_>,
-    q: &ResolvedQuery,
-    threads: usize,
-) -> Result<Option<ParallelPlan>> {
-    // -- stage 1: eligibility ------------------------------------------------
-    if !eligible(ctx, q, threads)? {
-        return Ok(None);
+impl MorselPlan {
+    /// A hand-assembled operator tree (the Higgs pipeline) as one
+    /// whole-input morsel whose batches concatenate unchanged.
+    pub(crate) fn custom(
+        root: Box<dyn Operator>,
+        harvests: Harvests,
+        output_names: Vec<String>,
+    ) -> MorselPlan {
+        MorselPlan {
+            pipelines: vec![root],
+            merge: MergePlan::Concat,
+            harvests,
+            posmap_fragments: Vec::new(),
+            build_profile: PhaseProfile::default(),
+            build_metrics: ScanMetrics::default(),
+            gates: Vec::new(),
+            explain: Vec::new(),
+            output_names,
+            morsel_meta: vec![MorselMeta { format: "custom", ..MorselMeta::default() }],
+        }
     }
-    let driving = ctx.catalog.get(&q.tables[0])?.clone();
-    let mut planner =
-        Planner { ctx, explain: Vec::new(), harvests: Harvests::default(), stream: None };
+}
 
-    // -- stage 2: partition the driving table --------------------------------
-    let Some(parted) = partition(&mut planner, &q.tables[0], &driving)? else {
-        return Ok(None); // nothing to parallelize
-    };
-    let Partitioned { morsels, stream, decoder, ready } = parted;
+/// Plan `q` as a morsel plan: split across morsels when the driving table
+/// is eligible and large enough, one whole-file morsel otherwise.
+pub(crate) fn plan(ctx: &PlannerCtx<'_>, q: &ResolvedQuery) -> Result<MorselPlan> {
+    let driving = ctx.catalog.get(&q.tables[0])?.clone();
+    let mut planner = Planner::new(ctx);
+
+    // -- stages 1 and 2: eligibility, then partition the driving table -------
+    let parted =
+        if eligible(ctx, q)? { partition(&mut planner, &q.tables[0], &driving)? } else { None };
+    if parted.is_none() {
+        // Not split: drop the partition probe's notes about a grid that is
+        // not used.
+        planner.explain.clear();
+    }
+    let Partitioned { morsels, stream, decoder, ready } = parted.unwrap_or_default();
     let text_format = matches!(driving.source, TableSource::Csv { .. });
     let format = source_format(&driving.source);
-    let morsel_meta: Vec<MorselMeta> = morsels
-        .iter()
-        .map(|m| MorselMeta {
-            format,
-            byte_start: m.byte_start,
-            byte_end: m.byte_end,
-            first_row: m.first_row,
-            end_row: m.end_row,
-        })
-        .collect();
+    let (segments, morsel_meta): (Vec<_>, Vec<_>) = if morsels.is_empty() {
+        (vec![None], vec![MorselMeta { format, ..MorselMeta::default() }])
+    } else {
+        morsels
+            .iter()
+            .map(|m| {
+                let segment = if text_format {
+                    ScanSegment {
+                        first_row: m.first_row,
+                        end_row: Some(m.end_row),
+                        byte_start: m.byte_start,
+                        byte_end: Some(m.byte_end),
+                    }
+                } else {
+                    ScanSegment::rows(m.first_row, m.end_row)
+                };
+                let meta = MorselMeta {
+                    format,
+                    byte_start: m.byte_start,
+                    byte_end: m.byte_end,
+                    first_row: m.first_row,
+                    end_row: m.end_row,
+                };
+                (Some(segment), meta)
+            })
+            .unzip()
+    };
 
     // Cold streamed run still in flight: per-morsel pipelines read from the
     // in-flight buffer (no full-residency wait at plan time); the
@@ -176,15 +214,14 @@ pub(crate) fn try_plan(
     }
 
     // Shared planning state, resolved once (not per morsel): the per-table
-    // query slices, materialization strategies, and join-side placements —
-    // the same calls, in the same order, as the serial `plan_query`.
+    // query slices, materialization strategies, and join-side placements.
     let per_table = slice_per_table(q);
     let strategies: Vec<ShredStrategy> =
         (0..q.tables.len()).map(|t| planner.resolve_strategy(q, t, &per_table[t])).collect();
 
-    // Join: resolve placements per side and build the build side ONCE —
-    // serially, through the ordinary whole-file pipeline (pool-served when
-    // shreds cover it) — then share the hash table across morsel probes.
+    // Join: resolve placements per side and build the build side ONCE, at
+    // plan time, through a whole-file pipeline (pool-served when shreds
+    // cover it) — then share the hash table across morsel probes.
     let mut build_profile = PhaseProfile::default();
     let mut build_metrics = ScanMetrics::default();
     let (placements, shared_build, probe_when) = match q.join.as_ref() {
@@ -217,7 +254,7 @@ pub(crate) fn try_plan(
                 q.tables[1],
                 j.build_col.name,
                 shared.rows(),
-                morsels.len(),
+                segments.len(),
             ));
             let probe_when = placements[0];
             (Some(placements), Some((shared, built.layout)), probe_when)
@@ -232,50 +269,36 @@ pub(crate) fn try_plan(
     };
 
     // -- stage 3: per-morsel pipeline build ----------------------------------
-    let mut pipelines: Vec<Box<dyn Operator>> = Vec::with_capacity(morsels.len());
-    let mut posmap_sinks: Vec<(String, PosMapSink)> = Vec::new();
-    let mut harvests = Harvests::default();
+    let split = segments.len() > 1;
+    let mut pipelines: Vec<Box<dyn Operator>> = Vec::with_capacity(segments.len());
+    let mut posmap_fragments: Vec<(String, PosMapSink)> = Vec::new();
     let mut merge: Option<MergePlan> = None;
     let mut output_names: Vec<String> = Vec::new();
 
-    // The build side's side effects come first (its posmap is the build
-    // table's single whole-file fragment).
-    for (table, sink) in planner.harvests.posmaps.drain(..) {
-        posmap_sinks.push((table, sink));
-    }
-    harvests.shreds.append(&mut planner.harvests.shreds);
+    // The build side's side effects come first and publish as they are.
+    let mut harvests = std::mem::take(&mut planner.harvests);
 
-    for (i, morsel) in morsels.iter().enumerate() {
+    for (i, segment) in segments.into_iter().enumerate() {
         // Keep the plan description readable: the first morsel's notes
         // describe them all. Later morsels build against a scratch vec
         // (swapped in here, dropped below) instead of truncating the
         // shared one.
         let kept = (i > 0).then(|| std::mem::take(&mut planner.explain));
 
-        let segment = if text_format {
-            ScanSegment {
-                first_row: morsel.first_row,
-                end_row: Some(morsel.end_row),
-                byte_start: morsel.byte_start,
-                byte_end: Some(morsel.byte_end),
-            }
-        } else {
-            ScanSegment::rows(morsel.first_row, morsel.end_row)
-        };
         let built = planner.build_table_pipeline(
             q,
             0,
             &per_table[0],
             strategies[0],
             probe_when,
-            Some(segment),
+            segment,
         )?;
         let mut op = built.op;
         let mut layout = built.layout;
 
         // The join above each morsel's probe pipeline, probing the shared
         // build side; then Late attaches above the join, for the sides
-        // placed there — per morsel, exactly like the serial plan's top.
+        // placed there — per morsel.
         if let Some((shared, build_layout)) = &shared_build {
             let j = q.join.as_ref().expect("shared build implies a join");
             let probe_key = layout
@@ -329,9 +352,7 @@ pub(crate) fn try_plan(
         // Pull this morsel's posmap sink out so fragments can be appended in
         // morsel order after execution (the generic merge path would reject
         // them: fragments have disjoint row ranges, not equal ones).
-        for (table, sink) in planner.harvests.posmaps.drain(..) {
-            posmap_sinks.push((table, sink));
-        }
+        posmap_fragments.append(&mut planner.harvests.posmaps);
         harvests.shreds.append(&mut planner.harvests.shreds);
 
         if let Some(kept) = kept {
@@ -339,17 +360,19 @@ pub(crate) fn try_plan(
         }
     }
 
-    let merge = merge.expect("at least two morsels built");
-    planner.explain.push(format!(
-        "parallel: {} morsels x {} threads [{}]",
-        morsels.len(),
-        threads,
-        match &merge {
-            MergePlan::Concat => "concat in morsel order",
-            MergePlan::Aggregate(_) => "partial aggregates merged in morsel order",
-            MergePlan::Grouped(_) => "grouped partial states merged in morsel order",
-        }
-    ));
+    let merge = merge.expect("at least one morsel built");
+    if split {
+        planner.explain.push(format!(
+            "parallel: {} morsels x {} threads [{}]",
+            pipelines.len(),
+            ctx.config.parallelism,
+            match &merge {
+                MergePlan::Concat => "concat in morsel order",
+                MergePlan::Aggregate(_) => "partial aggregates merged in morsel order",
+                MergePlan::Grouped(_) => "grouped partial states merged in morsel order",
+            }
+        ));
+    }
     let explain = std::mem::take(&mut planner.explain);
 
     // Availability gates: morsel i runs once bytes ready[i] are resident.
@@ -386,18 +409,18 @@ pub(crate) fn try_plan(
         _ => Vec::new(),
     };
 
-    Ok(Some(ParallelPlan {
+    Ok(MorselPlan {
         pipelines,
         merge,
         harvests,
-        posmap_sinks,
+        posmap_fragments,
         build_profile,
         build_metrics,
         gates,
         explain,
         output_names,
         morsel_meta,
-    }))
+    })
 }
 
 /// Stable format label for morsel metadata (trace artifacts key on it).
@@ -411,12 +434,15 @@ fn source_format(source: &TableSource) -> &'static str {
     }
 }
 
-/// Stage 1: whether the query can take the parallel path at all. The
-/// *driving* table (0) must be partitionable into record-aligned morsels
-/// and not already fully shred-cached; a join's build side only needs an
-/// ordinary serial scan, so any source the mode supports qualifies there.
-fn eligible(ctx: &PlannerCtx<'_>, q: &ResolvedQuery, threads: usize) -> Result<bool> {
-    if threads < 2 || !matches!(ctx.config.mode, AccessMode::InSitu | AccessMode::Jit) {
+/// Stage 1: whether the query's driving table may be split at all. The pool
+/// must have two or more workers, and the table must be partitionable into
+/// record-aligned morsels and not already fully shred-cached; a join's build
+/// side only needs an ordinary whole-file scan, so any source the mode
+/// supports qualifies there.
+fn eligible(ctx: &PlannerCtx<'_>, q: &ResolvedQuery) -> Result<bool> {
+    if ctx.config.parallelism < 2
+        || !matches!(ctx.config.mode, AccessMode::InSitu | AccessMode::Jit)
+    {
         return Ok(false);
     }
     let def = ctx.catalog.get(&q.tables[0])?;
@@ -430,8 +456,8 @@ fn eligible(ctx: &PlannerCtx<'_>, q: &ResolvedQuery, threads: usize) -> Result<b
     ) {
         return Ok(false);
     }
-    // Fully-cached driving table: the serial PoolScan path is already
-    // memory-speed and whole-file shaped; don't segment it.
+    // Fully-cached driving table: the whole-file PoolScan is already
+    // memory-speed; don't segment it.
     let name = q.tables[0].clone();
     let all_pooled =
         table_columns(q, 0).iter().all(|col| ctx.pool.get(&name, col).is_some_and(|s| s.is_full()));
@@ -439,7 +465,9 @@ fn eligible(ctx: &PlannerCtx<'_>, q: &ResolvedQuery, threads: usize) -> Result<b
 }
 
 /// Stage 2's product: the morsel grid plus the cold-stream context needed
-/// to gate execution on availability.
+/// to gate execution on availability. The default (no morsels) is the
+/// whole-file plan.
+#[derive(Default)]
 struct Partitioned {
     morsels: Vec<Morsel>,
     /// The in-flight streaming read of the driving file — `Some` only on
@@ -655,7 +683,7 @@ fn partition(
         TableSource::Ibin { .. } => {
             // Page-aligned morsels: each owns whole pages, so per-morsel
             // zone-index pruning (the scan intersects the compiled
-            // candidate ranges with its segment) tiles the serial
+            // candidate ranges with its segment) tiles the whole-file
             // candidate set — and the pruning counters — exactly.
             //
             // `IbinLayout::parse` eagerly decodes the zone index at the
@@ -732,9 +760,9 @@ fn partition(
         }
     };
     if morsels.len() < 2 {
-        // Too small to parallelize. A just-started stream keeps filling in
-        // the background; the serial fallback's `read` joins it (one disk
-        // read, identical counters to the blocking path).
+        // Too small to split. A just-started stream keeps filling in the
+        // background; the whole-file scan's `read` joins it (one disk read,
+        // identical counters to the blocking path).
         return Ok(None);
     }
     // An already-complete stream (tiny file, warm wrapper, a fully-decoded
@@ -746,8 +774,8 @@ fn partition(
     Ok(Some(Partitioned { morsels, stream, decoder, ready }))
 }
 
-/// Stage 4: how per-morsel outputs combine, resolved against the (shared)
-/// pipeline layout with the same helpers as the serial plan top.
+/// Stage 4: how per-morsel outputs combine — the query top — resolved
+/// against the (shared) pipeline layout.
 fn resolve_merge(
     planner: &mut Planner<'_, '_>,
     q: &ResolvedQuery,

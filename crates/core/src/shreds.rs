@@ -32,7 +32,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use raw_columnar::{Column, SparseColumn};
 
 /// Pool statistics.
@@ -220,6 +220,35 @@ impl ShredPool {
     }
 }
 
+/// One query's view of the shred pool: the first lookup of a column reads
+/// the live pool, and every later lookup of it in the same query returns
+/// that same shred, so all morsels of a query plan against one pool state
+/// while racing sessions publish. Each lookup still goes to the live pool
+/// for its hit/miss count and LRU touch, so the counters are those of
+/// per-lookup reads.
+pub struct ShredView<'a> {
+    pool: &'a ShredPool,
+    seen: Mutex<FirstSeen>,
+}
+
+/// Each looked-up (table, column) with the shred (or its absence) the
+/// query first saw.
+type FirstSeen = HashMap<(String, String), Option<Arc<SparseColumn>>>;
+
+impl<'a> ShredView<'a> {
+    /// A fresh view of `pool`.
+    pub fn new(pool: &'a ShredPool) -> ShredView<'a> {
+        ShredView { pool, seen: Mutex::new(HashMap::new()) }
+    }
+
+    /// The shred for (`table`, `column`) as this query first saw it (see
+    /// [`ShredPool::get`]).
+    pub fn get(&self, table: &str, column: &str) -> Option<Arc<SparseColumn>> {
+        let live = self.pool.get(table, column);
+        self.seen.lock().entry((table.to_owned(), column.to_owned())).or_insert(live).clone()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,6 +271,27 @@ mod tests {
         assert!(!s.covers_rows(&[2]));
         assert!(pool.get("t", "colX").is_none());
         assert_eq!(pool.stats().hits, 1);
+        assert_eq!(pool.stats().misses, 1);
+    }
+
+    #[test]
+    fn view_keeps_the_first_shred_it_saw() {
+        let pool = ShredPool::new(1 << 20);
+        pool.insert_merge("t", "c", shred(&[1], 10)).unwrap();
+        let view = ShredView::new(&pool);
+        assert!(view.get("t", "d").is_none());
+        let first = view.get("t", "c").unwrap();
+        // A racing publish lands between two lookups of one query.
+        pool.insert_merge("t", "c", shred(&[4], 10)).unwrap();
+        pool.insert_merge("t", "d", shred(&[2], 10)).unwrap();
+        let again = view.get("t", "c").unwrap();
+        assert!(Arc::ptr_eq(&first, &again), "the query keeps its first view");
+        assert!(!again.covers_rows(&[4]));
+        assert!(view.get("t", "d").is_none(), "a column first seen missing stays missing");
+        assert!(pool.get("t", "c").unwrap().covers_rows(&[1, 4]), "the pool itself moved on");
+        // Every lookup is counted as its live read: the second `d` lookup
+        // is a hit, the last `pool.get` another.
+        assert_eq!(pool.stats().hits, 4);
         assert_eq!(pool.stats().misses, 1);
     }
 

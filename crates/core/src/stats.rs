@@ -12,26 +12,31 @@
 //!    between the query's first and last instruction, by subtracting
 //!    engine-state snapshots (template/shred cache stats, pool disk bytes)
 //!    or by summing per-morsel scan counters.
-//! 3. **[`QueryTrace`]** — the per-morsel breakdown of a parallel run: for
-//!    each morsel, which worker drained it, how long it waited in its
+//! 3. **[`QueryTrace`]** — the per-morsel breakdown of a run: for each
+//!    morsel, which worker drained it, how long it waited in its
 //!    availability gate, its drain wall time, and its own scan
-//!    profile/metrics. Serial runs carry no trace (`None`).
+//!    profile/metrics. Every query runs as morsels, so every engine query
+//!    carries a trace (`Some`); an unsplit query's trace has one morsel.
 //!
 //! ## When each counter is charged
 //!
 //! - `scan` / `metrics` — summed over every scan operator the query ran
-//!   (all morsels, plus a join's plan-time build-side drain). Parallel
-//!   counters **tile** the serial run's exactly: the morsel grid partitions
-//!   the file, so `rows_scanned`, `rows_pruned`, `fields_tokenized`,
-//!   `values_converted`, and `values_materialized` sum to the same totals
-//!   for any worker count (the `stats_equivalence` suite pins this).
+//!   (all morsels, plus a join's plan-time build-side drain). Split
+//!   counters **tile** the whole-file run's exactly: the morsel grid
+//!   partitions the file, so `rows_scanned`, `rows_pruned`,
+//!   `fields_tokenized`, `values_converted`, and `values_materialized` sum
+//!   to the same totals for any worker count (the `stats_equivalence` suite
+//!   pins this).
 //! - `io_bytes` — the file pool's `bytes_from_disk` delta across the query:
 //!   whole files on blocking cold reads, per completed chunk on streamed
 //!   ones; `0` warm. Identical across blocking and streamed cold paths.
 //! - `template_*` / `shred_*` / `compile_time` — cache-stat deltas across
 //!   the query (planning-time traffic included).
-//! - `workers` / `morsels` / `gate_wait` — the parallel run shape; serial
-//!   runs report `workers == 1`, `morsels == 0`, zero gate-wait. Gate-wait
+//! - `workers` / `morsels` / `gate_wait` — the run shape. `workers` is the
+//!   worker pool's thread count; `morsels` is the number of morsels run,
+//!   so an unsplit query reports `1`. A query counts as *parallel* (the
+//!   flag `EngineMetrics::query` and `SessionQueryCharge` receive, behind
+//!   `parallel_queries`) only when it ran two or more morsels. Gate-wait
 //!   (like the engine registry's `chunk_waits`) is *scheduling-dependent*:
 //!   it measures real overlap stalls and legitimately differs between
 //!   identical runs, so equivalence tests must not assert exact values.
@@ -67,8 +72,8 @@ pub struct MorselMeta {
     pub end_row: u64,
 }
 
-/// The per-morsel record of one parallel run: runtime traces (in morsel
-/// order) zipped with the planner's morsel metadata.
+/// The per-morsel record of one run: runtime traces (in morsel order)
+/// zipped with the planner's morsel metadata.
 #[derive(Debug, Clone, Default)]
 pub struct QueryTrace {
     /// Worker threads the run was configured with.
@@ -176,16 +181,16 @@ pub struct QueryStats {
     pub shreds_recorded: usize,
     /// Rows in the result.
     pub rows_out: u64,
-    /// Worker threads used (1 for serial runs).
+    /// Worker threads of the pool the query ran on.
     pub workers: usize,
-    /// Morsels executed (0 for serial runs).
+    /// Morsels executed (1 for a query that was not split).
     pub morsels: usize,
     /// Total worker time blocked in availability gates (cold streamed runs;
     /// scheduling-dependent — advisory, never asserted exactly).
     pub gate_wait: Duration,
     /// Plan description, one line per step.
     pub explain: Vec<String>,
-    /// Per-morsel trace of a parallel run (`None` on the serial path).
+    /// Per-morsel trace of the run (always `Some` for engine queries).
     pub trace: Option<QueryTrace>,
 }
 
@@ -234,13 +239,13 @@ impl QueryStats {
 
     /// EXPLAIN ANALYZE rendering: every plan line annotated with the
     /// actuals the engine measured for that operator class, followed by the
-    /// totals block and (for parallel runs, when `per_morsel`) the
-    /// per-morsel worker/gate-wait table.
+    /// totals block and (for split runs, when `per_morsel`) the per-morsel
+    /// worker/gate-wait table.
     ///
     /// Annotation is by plan-line class — scan lines carry scan actuals,
     /// aggregate/project lines carry output rows, the `parallel:` line
-    /// carries the run shape — because the serial planner emits free-form
-    /// notes, not an operator tree.
+    /// carries the run shape — because the planner emits free-form notes,
+    /// not an operator tree.
     pub fn explain_analyze(&self, per_morsel: bool) -> String {
         let mut out = String::new();
         for line in &self.explain {
@@ -274,7 +279,7 @@ impl QueryStats {
             out.push('\n');
         }
         out.push_str(&format!("totals: {}\n", self.summary()));
-        if per_morsel {
+        if per_morsel && self.morsels > 1 {
             if let Some(trace) = &self.trace {
                 out.push_str(&trace.morsel_table());
             }

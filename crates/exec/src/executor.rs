@@ -1,16 +1,18 @@
-//! The parallel executor and its deterministic merge layer.
+//! The morsel executor and its deterministic merge layer.
 //!
-//! Takes one ready-to-run operator pipeline per morsel, drains them on the
-//! worker pool, and merges the outputs **in morsel order**:
+//! Takes one ready-to-run operator pipeline per morsel (an unsplit query is
+//! a single whole-file morsel), drains them on the engine-global
+//! [`GlobalPool`], and merges the outputs **in morsel order**:
 //!
 //! - [`MergePlan::Concat`] — selection-shaped queries; per-morsel batches
-//!   concatenate in morsel order, reproducing serial row order exactly.
+//!   concatenate in morsel order, reproducing whole-file row order exactly.
 //! - [`MergePlan::Aggregate`] — aggregate-shaped queries; each worker folds
 //!   its morsel's batches into an [`AggAccumulator`] *as it drains* (no
 //!   post-filter materialization), and partial states merge in morsel order.
-//!   Integer aggregates are bit-for-bit serial-identical; float aggregates
-//!   are identical across any worker count because the morsel grid — and
-//!   therefore the summation tree — never depends on the thread count.
+//!   Integer aggregates are bit-for-bit identical to one whole-file
+//!   morsel's; float aggregates are identical across any worker count
+//!   because the morsel grid — and therefore the summation tree — never
+//!   depends on the thread count.
 //! - [`MergePlan::Grouped`] — grouped-aggregation queries; each worker folds
 //!   its morsel's batches into a [`GroupedAccumulator`] (per-morsel partial
 //!   hash-table state), states merge in morsel order, and the finished
@@ -31,8 +33,7 @@ use raw_columnar::profile::{PhaseProfile, ScanMetrics};
 use raw_columnar::{Batch, ColumnarError};
 use raw_trace::{merge_worker_sinks, MorselTrace};
 
-use crate::global::GlobalPool;
-use crate::pool::{run_jobs_traced_ordered, JobCtx};
+use crate::global::{GlobalPool, JobCtx, JobPanic};
 
 /// An availability gate for one morsel: blocks until the morsel's inputs
 /// are resident (its byte range has streamed in from disk), or reports the
@@ -63,7 +64,7 @@ pub struct GroupedMerge {
     pub output: Vec<usize>,
 }
 
-/// The merged result of a parallel run.
+/// The merged result of a morsel run.
 #[derive(Debug)]
 pub struct ParallelOutcome {
     /// Result batches in deterministic order (one batch for aggregates).
@@ -91,68 +92,31 @@ enum MorselOutput {
 
 type MorselResult = Result<(MorselOutput, PhaseProfile, ScanMetrics), ColumnarError>;
 
-/// Drain every pipeline on up to `threads` workers and merge per `merge`.
-/// Errors surface in morsel order (the first failing morsel wins), matching
-/// what a serial scan of the same file would have reported first.
-pub fn execute_morsels(
-    pipelines: Vec<Box<dyn Operator>>,
-    merge: &MergePlan,
-    threads: usize,
-) -> Result<ParallelOutcome, ColumnarError> {
-    execute_morsels_when(pipelines, Vec::new(), merge, threads)
-}
-
-/// [`execute_morsels`] with availability-driven dispatch: morsel `i` is
-/// gated on `gates[i]` (missing or `None` entries mean "always ready"), so
-/// on cold streamed runs a worker drains a morsel as soon as its byte range
-/// is resident instead of after the whole file. A gate failure (the reader
-/// thread hit an I/O error) becomes that morsel's error without running its
-/// pipeline; the merge loop then surfaces it in morsel order like any scan
-/// error.
-pub fn execute_morsels_when(
-    pipelines: Vec<Box<dyn Operator>>,
-    gates: Vec<Option<MorselGate>>,
-    merge: &MergePlan,
-    threads: usize,
-) -> Result<ParallelOutcome, ColumnarError> {
-    execute_morsels_scheduled(pipelines, gates, merge, threads, None)
-}
-
-/// [`execute_morsels_when`] with a **cost hint** per morsel: when every
-/// morsel is ungated (warm buffers — no availability ordering to respect),
-/// workers claim morsels in descending-weight order
-/// (longest-processing-time-first, ties broken by morsel index) instead of
-/// index order, so a predicted-heavy morsel starts early rather than
-/// becoming the long tail after the job list drains.
+/// Drain every pipeline on the engine-global [`GlobalPool`] and merge per
+/// `merge`. The batch passes the pool's admission door and its morsels
+/// interleave fairly with other active queries' morsels; results and
+/// counters never depend on which worker runs a morsel when.
 ///
-/// Results, merges, traces, and every counter are **identical for any claim
-/// order**: results slot by morsel index, partial states merge in morsel
-/// order, and traces sort by morsel index after the barrier. Only the
-/// wall-clock completion schedule moves — which is why the hint is safe to
-/// derive from plan-time metadata alone and never from runtime timing.
+/// Morsel `i` is gated on `gates[i]` (missing or `None` entries mean
+/// "always ready"), so on cold streamed runs a worker drains a morsel as
+/// soon as its byte range is resident instead of after the whole file. A
+/// gate failure (the reader thread hit an I/O error) becomes that morsel's
+/// error without running its pipeline, and a panicking pipeline becomes a
+/// [`ColumnarError::External`] naming the morsel. Errors surface in morsel
+/// order (the first failing morsel wins), matching what a whole-file scan
+/// would have reported first.
 ///
-/// On gated (cold streamed) runs the hint is ignored: gates admit prefix
-/// byte ranges of a sequential read, so index order *is* availability order
-/// and heavy-first claiming would park workers on nearly the whole file.
-pub fn execute_morsels_scheduled(
-    pipelines: Vec<Box<dyn Operator>>,
-    gates: Vec<Option<MorselGate>>,
-    merge: &MergePlan,
-    threads: usize,
-    weights: Option<&[u64]>,
-) -> Result<ParallelOutcome, ColumnarError> {
-    let morsels = pipelines.len();
-    let (jobs, claim) = morsel_jobs(pipelines, gates, merge, weights);
-    let (results, sinks) = run_jobs_traced_ordered(jobs, threads, claim);
-    merge_outcome(merge, results, sinks, morsels)
-}
-
-/// [`execute_morsels_scheduled`] on an engine-global [`GlobalPool`] instead
-/// of a per-query scoped pool: the batch passes the pool's admission door,
-/// its morsels interleave fairly with other active queries' morsels, and
-/// the long-lived workers drain them. The morsel grid, claim order, merge
-/// order, and therefore every result and counter are identical to the
-/// scoped path — only *which thread* runs a morsel *when* changes.
+/// `weights` is a **cost hint** per morsel: when every morsel is ungated
+/// (warm buffers — no availability ordering to respect), workers claim
+/// morsels in descending-weight order (longest-processing-time-first, ties
+/// broken by morsel index), so a predicted-heavy morsel starts early rather
+/// than becoming the long tail. Results, merges, traces, and every counter
+/// are **identical for any claim order**: results slot by morsel index,
+/// partial states merge in morsel order, and traces sort by morsel index
+/// after the barrier. On gated (cold streamed) runs the hint is ignored:
+/// gates admit prefix byte ranges of a sequential read, so index order *is*
+/// availability order and heavy-first claiming would park workers on
+/// nearly the whole file.
 pub fn execute_morsels_pooled(
     pool: &GlobalPool,
     pipelines: Vec<Box<dyn Operator>>,
@@ -163,11 +127,21 @@ pub fn execute_morsels_pooled(
     let morsels = pipelines.len();
     let (jobs, claim) = morsel_jobs(pipelines, gates, merge, weights);
     let (results, sinks) = pool.run_on(jobs, claim);
+    let results = results
+        .into_iter()
+        .map(|r| {
+            r.unwrap_or_else(|JobPanic { job, message }| {
+                Err(ColumnarError::External {
+                    message: format!("morsel {job} panicked: {message}"),
+                })
+            })
+        })
+        .collect();
     merge_outcome(merge, results, sinks, morsels)
 }
 
 /// Build one `(admit, drain)` job per morsel plus the optional heavy-first
-/// claim order — shared by the scoped and global execution paths.
+/// claim order.
 #[allow(clippy::type_complexity)]
 fn morsel_jobs(
     pipelines: Vec<Box<dyn Operator>>,
@@ -258,8 +232,7 @@ fn morsel_jobs(
 }
 
 /// Merge per-morsel results and per-worker trace sinks into the final
-/// [`ParallelOutcome`] — in morsel order, first error wins. Shared by the
-/// scoped and global execution paths.
+/// [`ParallelOutcome`] — in morsel order, first error wins.
 fn merge_outcome(
     merge: &MergePlan,
     results: Vec<MorselResult>,
@@ -296,14 +269,13 @@ fn merge_outcome(
         MergePlan::Concat => {}
         MergePlan::Aggregate(exprs) => {
             // Zero morsels (empty file) still yields the canonical
-            // empty-input aggregate row (COUNT 0 / NULL), exactly like a
-            // serial AggregateOp.
+            // empty-input aggregate row (COUNT 0 / NULL).
             let acc = merged_acc.unwrap_or_else(|| AggAccumulator::new(exprs.clone()));
             batches = vec![acc.finish()?];
         }
         MergePlan::Grouped(g) => {
-            // Zero morsels yields the zero-row grouped batch, exactly like
-            // a serial HashAggregateOp over an empty input.
+            // Zero morsels yields the zero-row grouped batch, as for any
+            // empty input.
             let acc = merged_groups
                 .unwrap_or_else(|| GroupedAccumulator::new(g.key_col, g.exprs.clone()));
             batches = vec![acc.finish()?.project(&g.output)?];
@@ -321,7 +293,7 @@ fn merge_outcome(
 /// no trace, so completeness is only asserted on all-success runs.
 ///
 /// Always compiled (so the seeded-violation tests run in every
-/// configuration); [`execute_morsels_scheduled`] only *calls* it under
+/// configuration); [`execute_morsels_pooled`] only *calls* it under
 /// `feature = "checked"`.
 pub fn validate_merged_traces(traces: &[MorselTrace], morsels: usize, all_ok: bool) {
     for pair in traces.windows(2) {
@@ -361,11 +333,30 @@ mod tests {
         Box::new(BatchSource::new(batches))
     }
 
+    /// Ungated, unweighted execution on a fresh pool of `threads` workers.
+    fn execute(
+        pipelines: Vec<Box<dyn Operator>>,
+        merge: &MergePlan,
+        threads: usize,
+    ) -> Result<ParallelOutcome, ColumnarError> {
+        execute_morsels_pooled(&GlobalPool::new(threads, 0), pipelines, Vec::new(), merge, None)
+    }
+
+    struct Boom;
+    impl Operator for Boom {
+        fn next_batch(&mut self) -> Result<Option<Batch>, ColumnarError> {
+            Err(ColumnarError::External { message: "boom".into() })
+        }
+        fn name(&self) -> &'static str {
+            "Boom"
+        }
+    }
+
     #[test]
     fn concat_preserves_morsel_order() {
         let pipelines: Vec<Box<dyn Operator>> =
             vec![source(&[1, 2, 3, 4]), source(&[5]), source(&[6, 7])];
-        let out = execute_morsels(pipelines, &MergePlan::Concat, 4).unwrap();
+        let out = execute(pipelines, &MergePlan::Concat, 4).unwrap();
         let all = Batch::concat(&out.batches).unwrap();
         let got: Vec<i64> = all.column(0).unwrap().as_i64().unwrap().to_vec();
         assert_eq!(got, vec![1, 2, 3, 4, 5, 6, 7]);
@@ -384,7 +375,7 @@ mod tests {
                 AggExpr { kind: AggKind::Count, col: 0 },
                 AggExpr { kind: AggKind::Avg, col: 0 },
             ];
-            let out = execute_morsels(pipelines, &MergePlan::Aggregate(exprs), threads).unwrap();
+            let out = execute(pipelines, &MergePlan::Aggregate(exprs), threads).unwrap();
             assert_eq!(out.batches.len(), 1);
             let b = &out.batches[0];
             assert_eq!(b.value(0, 0).unwrap(), Value::Int64(9));
@@ -424,7 +415,7 @@ mod tests {
                 pair_source(&[(1, 40), (3, 50)]),
                 pair_source(&[(2, 60)]),
             ];
-            let out = execute_morsels(pipelines, &merge, threads).unwrap();
+            let out = execute(pipelines, &merge, threads).unwrap();
             assert_eq!(out.batches.len(), 1);
             let b = &out.batches[0];
             // Keys sorted: 1, 2, 3.
@@ -441,7 +432,7 @@ mod tests {
             exprs: vec![AggExpr { kind: AggKind::Count, col: 1 }],
             output: vec![0, 1],
         });
-        let out = execute_morsels(Vec::new(), &merge, 4).unwrap();
+        let out = execute(Vec::new(), &merge, 4).unwrap();
         assert_eq!(out.batches.len(), 1);
         assert_eq!(out.batches[0].rows(), 0);
         assert_eq!(out.batches[0].num_columns(), 2);
@@ -451,7 +442,7 @@ mod tests {
     fn aggregate_of_no_morsels_is_canonical_empty() {
         let exprs =
             vec![AggExpr { kind: AggKind::Count, col: 0 }, AggExpr { kind: AggKind::Max, col: 0 }];
-        let out = execute_morsels(Vec::new(), &MergePlan::Aggregate(exprs), 4).unwrap();
+        let out = execute(Vec::new(), &MergePlan::Aggregate(exprs), 4).unwrap();
         let b = &out.batches[0];
         assert_eq!(b.value(0, 0).unwrap(), Value::Int64(0));
         assert_eq!(b.value(0, 1).unwrap(), Value::Utf8("NULL".into()));
@@ -461,17 +452,18 @@ mod tests {
     fn weighted_scheduling_is_result_invariant() {
         // Heavy-first claim order must not move results, trace order, or
         // rows_out — only the dispatch schedule.
+        let make = || -> Vec<Box<dyn Operator>> {
+            vec![source(&[1, 2]), source(&[3, 4, 5, 6, 7]), source(&[8])]
+        };
+        let weights = [2u64, 5, 1];
         for threads in [1, 2, 8] {
-            let make = || -> Vec<Box<dyn Operator>> {
-                vec![source(&[1, 2]), source(&[3, 4, 5, 6, 7]), source(&[8])]
-            };
-            let weights = [2u64, 5, 1];
-            let plain = execute_morsels(make(), &MergePlan::Concat, threads).unwrap();
-            let scheduled = execute_morsels_scheduled(
+            let pool = GlobalPool::new(threads, 0);
+            let plain = execute(make(), &MergePlan::Concat, threads).unwrap();
+            let scheduled = execute_morsels_pooled(
+                &pool,
                 make(),
                 Vec::new(),
                 &MergePlan::Concat,
-                threads,
                 Some(&weights),
             )
             .unwrap();
@@ -481,6 +473,7 @@ mod tests {
                 a.column(0).unwrap().as_i64().unwrap(),
                 b.column(0).unwrap().as_i64().unwrap()
             );
+            assert_eq!(scheduled.morsels, 3);
             assert_eq!(
                 scheduled.traces.iter().map(|t| t.morsel).collect::<Vec<_>>(),
                 vec![0, 1, 2]
@@ -493,13 +486,45 @@ mod tests {
     }
 
     #[test]
+    fn pooled_execution_matches_scoped() {
+        // A weighted run on a shared two-worker pool must give what a
+        // one-worker pool gives when it claims in morsel order.
+        let pool = GlobalPool::new(2, 0);
+        let make = || -> Vec<Box<dyn Operator>> {
+            vec![source(&[1, 2, 3, 4]), source(&[5]), source(&[6, 7])]
+        };
+        let weights = [4u64, 1, 2];
+        let serial = execute(make(), &MergePlan::Concat, 1).unwrap();
+        let pooled =
+            execute_morsels_pooled(&pool, make(), Vec::new(), &MergePlan::Concat, Some(&weights))
+                .unwrap();
+        let a = Batch::concat(&serial.batches).unwrap();
+        let b = Batch::concat(&pooled.batches).unwrap();
+        assert_eq!(a.column(0).unwrap().as_i64().unwrap(), b.column(0).unwrap().as_i64().unwrap());
+        assert_eq!(pooled.morsels, 3);
+        assert_eq!(pooled.traces.iter().map(|t| t.morsel).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(pooled.traces.iter().map(|t| t.rows_out).collect::<Vec<_>>(), vec![4, 1, 2]);
+
+        let exprs = vec![AggExpr { kind: AggKind::Sum, col: 0 }];
+        let agg = execute_morsels_pooled(
+            &pool,
+            make(),
+            Vec::new(),
+            &MergePlan::Aggregate(exprs),
+            Some(&weights),
+        )
+        .unwrap();
+        assert_eq!(agg.batches[0].value(0, 0).unwrap(), Value::Int64(28));
+    }
+
+    #[test]
     fn trace_volume_is_bounded_by_morsels_not_rows() {
         // 3 morsels, 7 rows total: the trace layer must emit exactly one
         // event per morsel regardless of row count — the overhead contract.
         for threads in [1, 4] {
             let pipelines: Vec<Box<dyn Operator>> =
                 vec![source(&[1, 2, 3, 4]), source(&[5]), source(&[6, 7])];
-            let out = execute_morsels(pipelines, &MergePlan::Concat, threads).unwrap();
+            let out = execute(pipelines, &MergePlan::Concat, threads).unwrap();
             assert_eq!(out.traces.len(), out.morsels);
             assert_eq!(out.traces.len(), 3);
             let order: Vec<usize> = out.traces.iter().map(|t| t.morsel).collect();
@@ -516,69 +541,69 @@ mod tests {
     fn aggregate_traces_count_folded_rows() {
         let pipelines: Vec<Box<dyn Operator>> = vec![source(&[5, -2, 9]), source(&[7, 7])];
         let exprs = vec![AggExpr { kind: AggKind::Sum, col: 0 }];
-        let out = execute_morsels(pipelines, &MergePlan::Aggregate(exprs), 2).unwrap();
+        let out = execute(pipelines, &MergePlan::Aggregate(exprs), 2).unwrap();
         let rows: Vec<u64> = out.traces.iter().map(|t| t.rows_out).collect();
         assert_eq!(rows, vec![3, 2]);
     }
 
     #[test]
-    fn pooled_execution_matches_scoped() {
-        let pool = GlobalPool::new(2, 0);
-        let make = || -> Vec<Box<dyn Operator>> {
-            vec![source(&[1, 2, 3, 4]), source(&[5]), source(&[6, 7])]
-        };
-        let weights = [4u64, 1, 2];
-        let scoped =
-            execute_morsels_scheduled(make(), Vec::new(), &MergePlan::Concat, 2, Some(&weights))
-                .unwrap();
-        let pooled =
-            execute_morsels_pooled(&pool, make(), Vec::new(), &MergePlan::Concat, Some(&weights))
-                .unwrap();
-        let a = Batch::concat(&scoped.batches).unwrap();
-        let b = Batch::concat(&pooled.batches).unwrap();
-        assert_eq!(a.column(0).unwrap().as_i64().unwrap(), b.column(0).unwrap().as_i64().unwrap());
-        assert_eq!(pooled.morsels, 3);
-        assert_eq!(pooled.traces.iter().map(|t| t.morsel).collect::<Vec<_>>(), vec![0, 1, 2]);
-        assert_eq!(pooled.traces.iter().map(|t| t.rows_out).collect::<Vec<_>>(), vec![4, 1, 2]);
-
-        let exprs = vec![AggExpr { kind: AggKind::Sum, col: 0 }];
-        let agg =
-            execute_morsels_pooled(&pool, make(), Vec::new(), &MergePlan::Aggregate(exprs), None)
-                .unwrap();
-        assert_eq!(agg.batches[0].value(0, 0).unwrap(), Value::Int64(28));
-    }
-
-    #[test]
     fn pooled_first_morsel_error_wins() {
-        struct Boom;
-        impl Operator for Boom {
-            fn next_batch(&mut self) -> Result<Option<Batch>, ColumnarError> {
-                Err(ColumnarError::External { message: "pooled boom".into() })
-            }
-            fn name(&self) -> &'static str {
-                "Boom"
-            }
-        }
-        let pool = GlobalPool::new(2, 0);
         let pipelines: Vec<Box<dyn Operator>> = vec![source(&[1]), Box::new(Boom)];
-        let err = execute_morsels_pooled(&pool, pipelines, Vec::new(), &MergePlan::Concat, None)
-            .unwrap_err();
-        assert!(err.to_string().contains("pooled boom"));
+        let err = execute(pipelines, &MergePlan::Concat, 2).unwrap_err();
+        assert!(err.to_string().contains("boom"));
     }
 
     #[test]
     fn first_morsel_error_wins() {
-        struct Boom;
-        impl Operator for Boom {
+        // Two failing morsels, the later one claimed first (heaviest): the
+        // error reported is still morsel 1's, in morsel order.
+        struct Late;
+        impl Operator for Late {
             fn next_batch(&mut self) -> Result<Option<Batch>, ColumnarError> {
-                Err(ColumnarError::External { message: "boom".into() })
+                Err(ColumnarError::External { message: "late".into() })
             }
             fn name(&self) -> &'static str {
-                "Boom"
+                "Late"
             }
         }
-        let pipelines: Vec<Box<dyn Operator>> = vec![source(&[1]), Box::new(Boom)];
-        let err = execute_morsels(pipelines, &MergePlan::Concat, 2).unwrap_err();
-        assert!(err.to_string().contains("boom"));
+        let pool = GlobalPool::new(1, 0);
+        let pipelines: Vec<Box<dyn Operator>> = vec![source(&[1]), Box::new(Boom), Box::new(Late)];
+        let err = execute_morsels_pooled(
+            &pool,
+            pipelines,
+            Vec::new(),
+            &MergePlan::Concat,
+            Some(&[1, 1, 9]),
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("boom"), "{err}");
+    }
+
+    #[test]
+    fn panicking_morsel_becomes_its_error() {
+        struct Panics;
+        impl Operator for Panics {
+            fn next_batch(&mut self) -> Result<Option<Batch>, ColumnarError> {
+                panic!("operator bug")
+            }
+            fn name(&self) -> &'static str {
+                "Panics"
+            }
+        }
+        let pool = GlobalPool::new(2, 0);
+        let pipelines: Vec<Box<dyn Operator>> = vec![source(&[1]), Box::new(Panics)];
+        let err = execute_morsels_pooled(&pool, pipelines, Vec::new(), &MergePlan::Concat, None)
+            .unwrap_err();
+        assert!(err.to_string().contains("morsel 1 panicked: operator bug"), "{err}");
+        // The pool keeps serving.
+        let out = execute_morsels_pooled(
+            &pool,
+            vec![source(&[2, 3])],
+            Vec::new(),
+            &MergePlan::Concat,
+            None,
+        )
+        .unwrap();
+        assert_eq!(out.morsels, 1);
     }
 }

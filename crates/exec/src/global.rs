@@ -1,12 +1,11 @@
 //! The engine-global worker pool: long-lived workers, per-query admission,
-//! fair round-robin morsel scheduling.
+//! fair round-robin morsel scheduling, and panic containment.
 //!
-//! The scoped pool in [`crate::pool`] spawns workers per batch and joins
-//! them at the end — exactly right for a single-driver engine, but with many
-//! sessions sharing one engine it would oversubscribe the machine (every
-//! concurrent query spawning `parallelism` threads) and, worse, let a big
-//! cold scan monopolize the CPUs while a small warm query sits behind it.
-//! [`GlobalPool`] fixes both:
+//! Every query the engine runs is a batch of morsels on this pool — a split
+//! scan contributes one job per morsel, an unsplit query exactly one. With
+//! many sessions sharing one engine, a per-query pool would oversubscribe
+//! the machine and let a big cold scan monopolize the CPUs while a small
+//! warm query sits behind it. [`GlobalPool`] prevents both:
 //!
 //! - **One set of workers**, spawned once and shared by every query.
 //! - **Admission**: at most `max_active` batches execute at once (0 =
@@ -18,12 +17,16 @@
 //!   attention regardless of batch size, and a 1000-morsel cold scan cannot
 //!   starve a 4-morsel warm query (fairness invariant, CONCURRENCY.md
 //!   § "Sessions and the shared cache layer").
+//! - **Panic containment**: a job that panics (in its gate or its body)
+//!   becomes that job's [`JobPanic`] result. The worker survives, the
+//!   batch's completion latch still counts the job down, and the submitter
+//!   gets the error back instead of waiting forever.
 //!
 //! Within a batch, morsels are claimed in the submitter's `claim` order
-//! (e.g. longest-processing-time-first), preserving the scoped pool's
-//! skew-resistant dispatch. Results land in per-morsel slots and sinks in
-//! per-worker slots, so output order — and therefore every downstream
-//! merge — is identical to the scoped pool's, independent of scheduling.
+//! (e.g. longest-processing-time-first) for skew-resistant dispatch.
+//! Results land in per-morsel slots and trace events in per-worker sinks,
+//! so output order — and therefore every downstream merge — is independent
+//! of scheduling.
 //!
 //! ## Synchronization
 //!
@@ -35,17 +38,86 @@
 //! write happens-before the submitter's read (lock-edge publication; no
 //! `SeqCst` anywhere, per the L1 rule). The scheduler lock is never held
 //! while a morsel runs.
+//!
+//! ## Cold-path chunk-wait semantics
+//!
+//! A job may carry a gate that blocks until its inputs are resident (a
+//! morsel's byte range still streaming in from disk); the job body runs only
+//! once the gate admits it, and a gate that fails short-circuits into the
+//! gate's terminal result without running the body. The time a worker
+//! spends blocked inside a gate is *overlap slack*, not engine work: it
+//! measures how far scan speed outruns the reader thread. [`GlobalPool::run_on`]
+//! stamps that duration per job ([`JobCtx::gate_wait`]), and
+//! `ChunkedFileBuffer::wait_available` separately charges each blocking
+//! wait to `EngineMetrics::{chunk_waits, chunk_wait_nanos}`. Both are
+//! scheduling-dependent — two identical cold runs legitimately differ — so
+//! equivalence tests must treat them as advisory, never exact. The
+//! deterministic invariant is elsewhere: *which* chunks complete and how
+//! many bytes they charge is identical across runs; only *who waited and
+//! for how long* varies. A worker blocked in a gate holds no pool lock and
+//! parks on the chunk condvar, so it never prevents other workers from
+//! claiming later (already-resident) morsels.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::pool::JobCtx;
+/// Per-job execution context handed to a job closure by
+/// [`GlobalPool::run_on`]: which pool worker claimed the job, how long that
+/// worker was blocked in the job's availability gate, and the worker's
+/// private trace sink.
+///
+/// The sink is the no-lock hot path of the tracing layer: each worker owns
+/// one `Vec<E>` slot per batch, only the worker running a job touches it,
+/// and the pool hands all sinks back after the batch's completion latch.
+/// Jobs append at most O(1) events each, so sink volume is bounded by the
+/// job count (one morsel = one job), never by row count.
+pub struct JobCtx<'s, E> {
+    /// Index of the pool worker running this job (`0..threads`).
+    pub worker: usize,
+    /// How long this worker was blocked in the job's gate before the job
+    /// ran. Zero for gates that admit immediately.
+    pub gate_wait: Duration,
+    /// The claiming worker's private event sink.
+    pub sink: &'s mut Vec<E>,
+}
+
+/// A job that panicked instead of returning: the job's index in its batch
+/// and the panic message. The worker that ran it stays alive.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JobPanic {
+    /// Index of the panicking job in its batch.
+    pub job: usize,
+    /// The panic payload rendered as text.
+    pub message: String,
+}
+
+impl std::fmt::Display for JobPanic {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "job {} panicked: {}", self.job, self.message)
+    }
+}
+
+/// Render a caught panic payload (`panic!` carries a `&str` or a `String`).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_owned()
+    }
+}
 
 /// A unit of claimed work: runs one morsel on the given worker index.
 type Thunk = Box<dyn FnOnce(usize) + Send>;
+
+/// Where a job's outcome lands; filled exactly once, by the worker that
+/// ran the job.
+type ResultSlot<T> = Mutex<Option<Result<T, JobPanic>>>;
 
 /// One submitted batch: its thunks plus the claim order to hand them out in.
 struct BatchCore {
@@ -129,19 +201,29 @@ impl GlobalPool {
     }
 
     /// Run a batch of `(gate, job)` pairs to completion and return
-    /// `(results-by-job-index, sinks-by-worker)` — the same contract as
-    /// [`crate::pool::run_jobs_traced_ordered`], but on the shared workers:
-    /// the caller blocks at the admission door if `max_active` batches are
-    /// already running, then blocks on the batch's completion latch while
-    /// the pool interleaves its morsels fairly with other active batches.
+    /// `(results-by-job-index, sinks-by-worker)`. The caller blocks at the
+    /// admission door if `max_active` batches are already running, then
+    /// blocks on the batch's completion latch while the pool interleaves
+    /// its jobs fairly with other active batches.
     ///
-    /// `claim`, when given, must be a permutation of `0..jobs.len()` and
-    /// fixes the order slots are claimed in *within this batch*.
+    /// Each job's body runs only once its gate returns `Ok`; a gate
+    /// returning `Err(t)` makes `t` the job's result and the body never
+    /// runs (so it records no sink events). A gate or body that panics
+    /// yields `Err(JobPanic)` for that job. Results land in job order and
+    /// sinks come back one per worker, in worker order; event order within
+    /// a sink is that worker's claim order, so callers that need a
+    /// deterministic view merge on an order key the events carry.
+    ///
+    /// `claim`, when given, must be a permutation of `0..jobs.len()` (the
+    /// call panics otherwise) and fixes the order slots are claimed in
+    /// *within this batch*: claiming predicted-heavy jobs first stops a
+    /// long-tail morsel from landing last. Pass `None` when gates admit in
+    /// job order (a sequential reader), or late jobs would park workers.
     pub fn run_on<T, E, G, F>(
         &self,
         jobs: Vec<(G, F)>,
         claim: Option<Vec<usize>>,
-    ) -> (Vec<T>, Vec<Vec<E>>)
+    ) -> (Vec<Result<T, JobPanic>>, Vec<Vec<E>>)
     where
         T: Send + 'static,
         E: Send + 'static,
@@ -162,8 +244,7 @@ impl GlobalPool {
             }
         }
 
-        let results: Arc<Vec<Mutex<Option<T>>>> =
-            Arc::new((0..n).map(|_| Mutex::new(None)).collect());
+        let results: Arc<Vec<ResultSlot<T>>> = Arc::new((0..n).map(|_| Mutex::new(None)).collect());
         let sinks: Arc<Vec<Mutex<Vec<E>>>> =
             Arc::new((0..self.threads).map(|_| Mutex::new(Vec::new())).collect());
         // Completion latch: (remaining, batch done) — submitter sleeps on
@@ -176,15 +257,22 @@ impl GlobalPool {
             let sinks = Arc::clone(&sinks);
             let latch = Arc::clone(&latch);
             let thunk: Thunk = Box::new(move |worker| {
-                let wait_start = Instant::now();
-                let out = match gate() {
-                    Ok(()) => {
-                        let gate_wait = wait_start.elapsed();
-                        let mut sink = sinks[worker].lock();
-                        job(JobCtx { worker, gate_wait, sink: &mut sink })
+                // Contain panics: the job's slot gets an error, the latch
+                // still counts down, and this worker lives on. (Locks are
+                // non-poisoning, so a panic inside the sink guard leaves the
+                // sink usable.)
+                let out = catch_unwind(AssertUnwindSafe(|| {
+                    let wait_start = Instant::now();
+                    match gate() {
+                        Ok(()) => {
+                            let gate_wait = wait_start.elapsed();
+                            let mut sink = sinks[worker].lock();
+                            job(JobCtx { worker, gate_wait, sink: &mut sink })
+                        }
+                        Err(err) => err,
                     }
-                    Err(err) => err,
-                };
+                }))
+                .map_err(|payload| JobPanic { job: i, message: panic_message(&*payload) });
                 *results[i].lock() = Some(out);
                 let mut remaining = latch.0.lock();
                 *remaining -= 1;
@@ -299,6 +387,21 @@ fn worker_loop(inner: &Inner, worker: usize) {
 #[allow(clippy::type_complexity)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    type BoxedGate<T> = Box<dyn FnOnce() -> Result<(), T> + Send>;
+    type BoxedJob<T, E> = Box<dyn for<'s> FnOnce(JobCtx<'s, E>) -> T + Send>;
+
+    /// Unwrap every job's result (no job in these tests is meant to panic).
+    fn ok<T>(results: Vec<Result<T, JobPanic>>) -> Vec<T> {
+        results
+            .into_iter()
+            .map(|r| match r {
+                Ok(v) => v,
+                Err(p) => panic!("unexpected {p}"),
+            })
+            .collect()
+    }
 
     /// A trivial batch: `count` jobs, each recording `(tag, index)` into a
     /// shared log when it runs, returning its index.
@@ -329,7 +432,7 @@ mod tests {
         let pool = GlobalPool::new(3, 0);
         let log = Arc::new(Mutex::new(Vec::new()));
         let (results, sinks) = pool.run_on(logged_jobs('a', 8, &log), None);
-        assert_eq!(results, (0..8).collect::<Vec<_>>());
+        assert_eq!(ok(results), (0..8).collect::<Vec<_>>());
         assert_eq!(sinks.len(), 3);
         assert_eq!(log.lock().len(), 8);
     }
@@ -341,7 +444,7 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         let claim = vec![2, 0, 3, 1];
         let (results, _) = pool.run_on(logged_jobs('a', 4, &log), Some(claim.clone()));
-        assert_eq!(results, vec![0, 1, 2, 3], "results stay in job order");
+        assert_eq!(ok(results), vec![0, 1, 2, 3], "results stay in job order");
         let ran: Vec<usize> = log.lock().iter().map(|&(_, i)| i).collect();
         assert_eq!(ran, claim, "execution follows the claim order");
     }
@@ -349,13 +452,77 @@ mod tests {
     #[test]
     fn gate_error_becomes_the_result() {
         let pool = GlobalPool::new(2, 0);
-        let jobs: Vec<(
-            Box<dyn FnOnce() -> Result<(), i32> + Send>,
-            Box<dyn for<'s> FnOnce(JobCtx<'s, ()>) -> i32 + Send>,
-        )> =
+        let jobs: Vec<(BoxedGate<i32>, BoxedJob<i32, ()>)> =
             vec![(Box::new(|| Ok(())), Box::new(|_| 10)), (Box::new(|| Err(-1)), Box::new(|_| 20))];
         let (results, _) = pool.run_on(jobs, None);
-        assert_eq!(results, vec![10, -1]);
+        assert_eq!(ok(results), vec![10, -1]);
+    }
+
+    /// A batch of `threads` jobs that each wait (bounded) until all of them
+    /// are running at once, returning the worker that ran them — so the
+    /// batch completes with every job done only if every worker took one.
+    fn rendezvous_jobs(
+        threads: usize,
+    ) -> Vec<(
+        impl FnOnce() -> Result<(), Option<usize>> + Send + 'static,
+        impl for<'s> FnOnce(JobCtx<'s, ()>) -> Option<usize> + Send + 'static,
+    )> {
+        let arrived = Arc::new(AtomicUsize::new(0));
+        (0..threads)
+            .map(|_| {
+                let arrived = Arc::clone(&arrived);
+                (
+                    || Ok(()),
+                    move |ctx: JobCtx<'_, ()>| {
+                        arrived.fetch_add(1, Ordering::SeqCst);
+                        let deadline = Instant::now() + Duration::from_secs(5);
+                        while arrived.load(Ordering::SeqCst) < threads {
+                            if Instant::now() > deadline {
+                                return None;
+                            }
+                            std::thread::yield_now();
+                        }
+                        Some(ctx.worker)
+                    },
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn panicking_job_is_contained() {
+        let pool = Arc::new(GlobalPool::new(2, 0));
+        let run = |jobs: Vec<(BoxedGate<usize>, BoxedJob<usize, ()>)>| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || {
+                let _ = tx.send(pool.run_on(jobs, None).0);
+            });
+            rx.recv_timeout(Duration::from_secs(5)).expect("run_on returned within 5 s")
+        };
+        let jobs: Vec<(BoxedGate<usize>, BoxedJob<usize, ()>)> = vec![
+            (Box::new(|| Ok(())), Box::new(|_| 7)),
+            (Box::new(|| Ok(())), Box::new(|_| panic!("boom in job"))),
+            (Box::new(|| panic!("boom in gate")), Box::new(|_| 9)),
+        ];
+        let results = run(jobs);
+        assert_eq!(results[0], Ok(7));
+        let err = results[1].clone().unwrap_err();
+        assert_eq!(err.job, 1);
+        assert!(err.to_string().contains("job 1 panicked: boom in job"), "{err}");
+        assert_eq!(results[2].clone().unwrap_err().message, "boom in gate");
+
+        // Both workers survived: a batch that needs every worker at once
+        // still completes.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let survivor = Arc::clone(&pool);
+        std::thread::spawn(move || {
+            let _ = tx.send(survivor.run_on(rendezvous_jobs(2), None).0);
+        });
+        let workers = rx.recv_timeout(Duration::from_secs(5)).expect("second batch completed");
+        let mut workers = ok(workers);
+        workers.sort_unstable();
+        assert_eq!(workers, vec![Some(0), Some(1)], "every worker ran a job after the panic");
     }
 
     #[test]
@@ -375,28 +542,23 @@ mod tests {
             let log = Arc::clone(&log);
             let b_in_ring = Arc::clone(&b_in_ring);
             std::thread::spawn(move || {
-                let jobs: Vec<(
-                    Box<dyn FnOnce() -> Result<(), usize> + Send>,
-                    Box<dyn for<'s> FnOnce(JobCtx<'s, ()>) -> usize + Send>,
-                )> = (0..4)
+                let jobs: Vec<(BoxedGate<usize>, BoxedJob<usize, ()>)> = (0..4)
                     .map(|i| {
                         let log = Arc::clone(&log);
                         let b_in_ring = Arc::clone(&b_in_ring);
-                        let gate: Box<dyn FnOnce() -> Result<(), usize> + Send> =
-                            Box::new(move || {
-                                if i == 0 {
-                                    let mut ready = b_in_ring.0.lock();
-                                    while !*ready {
-                                        b_in_ring.1.wait(&mut ready);
-                                    }
+                        let gate: BoxedGate<usize> = Box::new(move || {
+                            if i == 0 {
+                                let mut ready = b_in_ring.0.lock();
+                                while !*ready {
+                                    b_in_ring.1.wait(&mut ready);
                                 }
-                                Ok(())
-                            });
-                        let job: Box<dyn for<'s> FnOnce(JobCtx<'s, ()>) -> usize + Send> =
-                            Box::new(move |_| {
-                                log.lock().push(('a', i));
-                                i
-                            });
+                            }
+                            Ok(())
+                        });
+                        let job: BoxedJob<usize, ()> = Box::new(move |_| {
+                            log.lock().push(('a', i));
+                            i
+                        });
                         (gate, job)
                     })
                     .collect();
@@ -426,8 +588,8 @@ mod tests {
 
         let (a_results, _) = a_thread.join().unwrap();
         let (b_results, _) = b_thread.join().unwrap();
-        assert_eq!(a_results, vec![0, 1, 2, 3]);
-        assert_eq!(b_results, vec![0, 1]);
+        assert_eq!(ok(a_results), vec![0, 1, 2, 3]);
+        assert_eq!(ok(b_results), vec![0, 1]);
         let order = log.lock().clone();
         assert_eq!(
             order,
@@ -449,26 +611,21 @@ mod tests {
             let log = Arc::clone(&log);
             let release_a = Arc::clone(&release_a);
             std::thread::spawn(move || {
-                let jobs: Vec<(
-                    Box<dyn FnOnce() -> Result<(), usize> + Send>,
-                    Box<dyn for<'s> FnOnce(JobCtx<'s, ()>) -> usize + Send>,
-                )> = (0..2)
+                let jobs: Vec<(BoxedGate<usize>, BoxedJob<usize, ()>)> = (0..2)
                     .map(|i| {
                         let log = Arc::clone(&log);
                         let release_a = Arc::clone(&release_a);
-                        let gate: Box<dyn FnOnce() -> Result<(), usize> + Send> =
-                            Box::new(move || {
-                                let mut go = release_a.0.lock();
-                                while !*go {
-                                    release_a.1.wait(&mut go);
-                                }
-                                Ok(())
-                            });
-                        let job: Box<dyn for<'s> FnOnce(JobCtx<'s, ()>) -> usize + Send> =
-                            Box::new(move |_| {
-                                log.lock().push(('a', i));
-                                i
-                            });
+                        let gate: BoxedGate<usize> = Box::new(move || {
+                            let mut go = release_a.0.lock();
+                            while !*go {
+                                release_a.1.wait(&mut go);
+                            }
+                            Ok(())
+                        });
+                        let job: BoxedJob<usize, ()> = Box::new(move |_| {
+                            log.lock().push(('a', i));
+                            i
+                        });
                         (gate, job)
                     })
                     .collect();
@@ -509,10 +666,7 @@ mod tests {
     #[test]
     fn empty_batch_returns_immediately() {
         let pool = GlobalPool::new(2, 1);
-        let jobs: Vec<(
-            Box<dyn FnOnce() -> Result<(), usize> + Send>,
-            Box<dyn for<'s> FnOnce(JobCtx<'s, ()>) -> usize + Send>,
-        )> = Vec::new();
+        let jobs: Vec<(BoxedGate<usize>, BoxedJob<usize, ()>)> = Vec::new();
         let (results, sinks) = pool.run_on(jobs, None);
         assert!(results.is_empty());
         assert_eq!(sinks.len(), 2);

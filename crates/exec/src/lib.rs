@@ -5,7 +5,7 @@
 //! morsel-driven architecture popularized by HyPer and applied to raw files
 //! by OLA-RAW.
 //!
-//! Three pieces compose into a parallel access path:
+//! Three pieces compose into the one execution path every query takes:
 //!
 //! - [`morsel`] — a **partitioner** that splits a raw file into
 //!   record-aligned morsels: newline probing for CSV (reusing positional-map
@@ -13,23 +13,22 @@
 //!   fixed-width binary and rootsim event files, page-aligned splitting for
 //!   ibin's zone-indexed pages, and item-balanced event ranges for rootsim
 //!   collections (see the [`morsel`] docs for the per-format contract).
-//! - [`pool`] — a **scoped worker pool** (std threads, morsel-stealing via an
-//!   atomic cursor) that runs one scan→filter→partial-aggregate pipeline per
-//!   morsel. Workers claim morsels dynamically, so skew in morsel cost does
-//!   not idle threads. On cold streamed runs, [`run_jobs_when`] gates each
-//!   morsel on the availability of its byte range
+//! - [`global`] — the engine-lifetime **worker pool** ([`GlobalPool`]):
+//!   long-lived workers serve every session's morsels, with per-query
+//!   admission and round-robin scheduling so concurrent queries share the
+//!   cores fairly. Workers claim morsels dynamically, so skew in morsel cost
+//!   does not idle threads. On cold streamed runs each morsel is gated on
+//!   the availability of its byte range
 //!   ([`raw_formats::file_buffer::ChunkedFileBuffer::wait_available`]), so
 //!   early morsels scan while the reader thread is still pulling later
-//!   chunks off disk — the overlap that lets cold throughput scale past the
-//!   memory-resident case. [`global`] is its multi-query sibling: one
-//!   engine-lifetime [`GlobalPool`] whose long-lived workers serve every
-//!   session, with per-query admission and round-robin morsel scheduling so
-//!   concurrent queries share the cores fairly.
+//!   chunks off disk. A panicking morsel becomes that morsel's error; the
+//!   worker lives on.
 //! - [`executor`] — the **deterministic merge layer**: selection batches
 //!   concatenate in morsel order; partial aggregate states
 //!   ([`raw_columnar::ops::AggAccumulator`]) merge in morsel order. Because
 //!   the morsel grid depends only on the file (never on the thread count),
-//!   results are identical for any worker count.
+//!   results are identical for any worker count. A query that is not split
+//!   runs as one whole-file morsel through the same layer.
 //!
 //! Side effects keep the paper's "queries build indexes as a side effect"
 //! semantics under parallelism: every morsel pipeline owns thread-safe sinks
@@ -45,18 +44,16 @@
 pub mod executor;
 pub mod global;
 pub mod morsel;
-pub mod pool;
+#[cfg(test)]
+#[path = "pool_tests.rs"]
+mod pool;
 
-pub use executor::{
-    execute_morsels, execute_morsels_pooled, execute_morsels_scheduled, execute_morsels_when,
-    GroupedMerge, MergePlan, MorselGate, ParallelOutcome,
-};
-pub use global::GlobalPool;
+pub use executor::{execute_morsels_pooled, GroupedMerge, MergePlan, MorselGate, ParallelOutcome};
+pub use global::{GlobalPool, JobCtx, JobPanic};
 pub use morsel::{
     partition_csv, partition_csv_quoted, partition_csv_quoted_streaming, partition_csv_streaming,
     partition_csv_with_map, partition_items, partition_pages, partition_rows, CsvPartition, Morsel,
 };
-pub use pool::{run_jobs, run_jobs_traced_ordered, run_jobs_when};
 
 /// The number of worker threads "all cores" resolves to on this host.
 pub fn available_threads() -> usize {

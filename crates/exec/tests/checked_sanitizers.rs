@@ -7,7 +7,7 @@
 
 use raw_exec::executor::validate_merged_traces;
 use raw_exec::morsel::{partition_csv, partition_rows, validate_grid, Morsel};
-use raw_exec::run_jobs_traced_ordered;
+use raw_exec::{GlobalPool, JobCtx};
 use raw_trace::MorselTrace;
 
 fn trace(morsel: usize) -> MorselTrace {
@@ -83,8 +83,7 @@ fn seeded_missing_trace_aborts() {
 #[test]
 #[should_panic(expected = "claim order must be a permutation")]
 fn seeded_non_permutation_claim_aborts() {
-    let jobs: Vec<_> =
-        (0..3).map(|i| (move || Ok(()), move |_ctx: raw_exec::pool::JobCtx<'_, u8>| i)).collect();
+    let jobs: Vec<_> = (0..3).map(|i| (move || Ok(()), move |_ctx: JobCtx<'_, u8>| i)).collect();
     // Claims job 0 twice and job 2 never.
-    let _ = run_jobs_traced_ordered(jobs, 2, Some(vec![0, 1, 0]));
+    let _ = GlobalPool::new(2, 0).run_on(jobs, Some(vec![0, 1, 0]));
 }

@@ -1,5 +1,5 @@
 //! Deterministic proof of cold-path overlap: with availability-driven
-//! dispatch ([`raw_exec::run_jobs_when`]) over a chunk-streamed buffer, a
+//! dispatch ([`raw_exec::GlobalPool::run_on`]) over a chunk-streamed buffer, a
 //! morsel whose byte range is resident completes **while the reader thread
 //! is still reading the rest of the file** — the property that lets cold
 //! throughput scale past serial-read-then-warm-scan.
@@ -14,7 +14,7 @@ use std::sync::{mpsc, Arc};
 
 use raw_columnar::ops::{BatchSource, Operator};
 use raw_columnar::{Batch, ColumnarError};
-use raw_exec::{execute_morsels_when, run_jobs_when, MergePlan, MorselGate};
+use raw_exec::{execute_morsels_pooled, GlobalPool, JobCtx, MergePlan, MorselGate};
 use raw_formats::file_buffer::{ChunkSource, ChunkedFileBuffer};
 
 const LEN: usize = 64 * 1024;
@@ -59,7 +59,7 @@ fn first_morsel_completes_before_reader_finishes_the_file() {
     let overlap_seen = Arc::new(AtomicBool::new(false));
 
     type Gate = Box<dyn FnOnce() -> Result<(), (usize, bool)> + Send>;
-    type Job = Box<dyn FnOnce() -> (usize, bool) + Send>;
+    type Job = Box<dyn for<'s> FnOnce(JobCtx<'s, ()>) -> (usize, bool) + Send>;
     let jobs: Vec<(Gate, Job)> = vec![
         (
             {
@@ -70,7 +70,7 @@ fn first_morsel_completes_before_reader_finishes_the_file() {
                 let stream = Arc::clone(&stream);
                 let finished = Arc::clone(&finished);
                 let overlap_seen = Arc::clone(&overlap_seen);
-                Box::new(move || {
+                Box::new(move |_ctx| {
                     // "Scan" the morsel: its bytes are resident and correct.
                     let bytes = &stream.bytes()[..CHUNK];
                     assert!(bytes.iter().enumerate().all(|(i, &b)| b == (i % 251) as u8));
@@ -91,7 +91,7 @@ fn first_morsel_completes_before_reader_finishes_the_file() {
             },
             {
                 let stream = Arc::clone(&stream);
-                Box::new(move || {
+                Box::new(move |_ctx| {
                     let bytes = &stream.bytes()[..];
                     assert!(bytes.iter().enumerate().all(|(i, &b)| b == (i % 251) as u8));
                     (1, true)
@@ -100,7 +100,8 @@ fn first_morsel_completes_before_reader_finishes_the_file() {
         ),
     ];
 
-    let results = run_jobs_when(jobs, 2);
+    let (results, _) = GlobalPool::new(2, 0).run_on(jobs, None);
+    let results: Vec<(usize, bool)> = results.into_iter().map(Result::unwrap).collect();
     assert_eq!(results.len(), 2);
     assert_eq!(results[0].0, 0);
     assert_eq!(results[1].0, 1);
@@ -163,7 +164,9 @@ fn reader_failure_fails_every_gated_morsel_without_hanging() {
         })
         .unzip();
 
-    let err = execute_morsels_when(pipelines, gates, &MergePlan::Concat, 4).unwrap_err();
+    let err =
+        execute_morsels_pooled(&GlobalPool::new(4, 0), pipelines, gates, &MergePlan::Concat, None)
+            .unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("mid-file disk failure"), "I/O failure surfaces: {msg}");
     assert!(msg.contains("/virtual/failing.bin"), "failure names the file: {msg}");

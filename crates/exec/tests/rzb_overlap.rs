@@ -13,7 +13,7 @@ use std::sync::{mpsc, Arc};
 
 use raw_columnar::ops::{BatchSource, Operator};
 use raw_columnar::{Batch, ColumnarError};
-use raw_exec::{execute_morsels_when, run_jobs_when, MergePlan, MorselGate};
+use raw_exec::{execute_morsels_pooled, GlobalPool, JobCtx, MergePlan, MorselGate};
 use raw_formats::file_buffer::{file_bytes, ChunkSource, ChunkedFileBuffer};
 use raw_formats::rzb::{self, RzbDecoder};
 
@@ -77,7 +77,7 @@ fn early_morsel_scans_while_later_blocks_are_undecoded() {
     let overlap_seen = Arc::new(AtomicBool::new(false));
 
     type Gate = Box<dyn FnOnce() -> Result<(), (usize, bool)> + Send>;
-    type Job = Box<dyn FnOnce() -> (usize, bool) + Send>;
+    type Job = Box<dyn for<'s> FnOnce(JobCtx<'s, ()>) -> (usize, bool) + Send>;
     let jobs: Vec<(Gate, Job)> = vec![
         (
             {
@@ -90,7 +90,7 @@ fn early_morsel_scans_while_later_blocks_are_undecoded() {
                 let finished = Arc::clone(&finished);
                 let overlap_seen = Arc::clone(&overlap_seen);
                 let last_span = last_span.clone();
-                Box::new(move || {
+                Box::new(move |_ctx| {
                     // "Scan" morsel 0: its block is decoded and correct...
                     assert_eq!(&dec.decoded().bytes()[..BLOCK], &src[..BLOCK]);
                     // ...while the compressed reader is still mid-file and
@@ -120,7 +120,7 @@ fn early_morsel_scans_while_later_blocks_are_undecoded() {
             {
                 let dec = Arc::clone(&dec);
                 let src = src.clone();
-                Box::new(move || {
+                Box::new(move |_ctx| {
                     let span = dec.len() - BLOCK..dec.len();
                     assert_eq!(&dec.decoded().bytes()[span.clone()], &src[span]);
                     (1, true)
@@ -129,7 +129,8 @@ fn early_morsel_scans_while_later_blocks_are_undecoded() {
         ),
     ];
 
-    let results = run_jobs_when(jobs, 2);
+    let (results, _) = GlobalPool::new(2, 0).run_on(jobs, None);
+    let results: Vec<(usize, bool)> = results.into_iter().map(Result::unwrap).collect();
     assert_eq!(results.len(), 2);
     assert!(
         overlap_seen.load(Ordering::SeqCst),
@@ -181,7 +182,9 @@ fn corrupt_block_fails_every_gated_morsel_without_hanging() {
         })
         .unzip();
 
-    let err = execute_morsels_when(pipelines, gates, &MergePlan::Concat, 4).unwrap_err();
+    let err =
+        execute_morsels_pooled(&GlobalPool::new(4, 0), pipelines, gates, &MergePlan::Concat, None)
+            .unwrap_err();
     let msg = err.to_string();
     // Depending on which byte the flip lands on, the codec's structural
     // validation or the CRC check catches it — either way a corrupt-data

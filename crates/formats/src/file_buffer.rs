@@ -1041,6 +1041,12 @@ impl FileBufferPool {
             }
             streams.remove(path);
         }
+        // A racing publisher may have moved a completed stream of this path
+        // into the warm map (and retired it) since the checks above: serve
+        // that, rather than reading the file a second time.
+        if let Some(buf) = self.warm_hit(path) {
+            return Ok(Arc::new(ChunkedFileBuffer::completed(path, buf, chunk_bytes)));
+        }
         // The reader thread credits `bytes_from_disk` per completed chunk:
         // a successful stream charges exactly `len` (identical to the
         // blocking path), a failed one only what it actually read.
@@ -1118,6 +1124,11 @@ impl FileBufferPool {
             decoders.remove(path);
             self.gauge_sub(dead.compressed_len() + dead.len());
         }
+        // As in `read_streaming`: a racing publisher may have moved a
+        // completed decoder's bytes into the warm map since the checks above.
+        if let Some(buf) = self.warm_hit(path) {
+            return Ok(RzbDecoder::completed(path, buf));
+        }
         self.count_miss();
         let compressed = ChunkedFileBuffer::spawn_observed(
             path,
@@ -1140,10 +1151,12 @@ impl FileBufferPool {
     /// gauge; the decoded bytes move (or leave, if an insert won).
     fn publish_decoder(&self, path: &Path, dec: &Arc<RzbDecoder>, bytes: FileBytes) -> FileBytes {
         let mut buffers = self.buffers.lock();
+        // Same gauge rule as `publish_stream`: bytes a racing publisher of
+        // this decoder already moved stay resident.
         let (winner, moved) = match buffers.get_mut(path) {
             Some(existing) => {
                 existing.last_used = self.tick();
-                (Arc::clone(&existing.bytes), false)
+                (Arc::clone(&existing.bytes), Arc::ptr_eq(&existing.bytes, &bytes))
             }
             None => {
                 buffers.insert(
@@ -1189,13 +1202,14 @@ impl FileBufferPool {
     ) -> FileBytes {
         let mut buffers = self.buffers.lock();
         // Gauge: when the stream's bytes become the warm buffer this is a
-        // *move* between maps (no add, no sub — the bytes stay resident);
+        // *move* between maps (no add, no sub — the bytes stay resident),
+        // also when a racing publisher of the same stream moved them first;
         // when an insert already won, the stream's superseded bytes leave
         // the gauge with the stream entry below.
         let (winner, moved) = match buffers.get_mut(path) {
             Some(existing) => {
                 existing.last_used = self.tick();
-                (Arc::clone(&existing.bytes), false)
+                (Arc::clone(&existing.bytes), Arc::ptr_eq(&existing.bytes, &bytes))
             }
             None => {
                 buffers.insert(
@@ -1705,6 +1719,28 @@ mod tests {
         stream.wait_all().unwrap();
         let _ = pool.read(&path).unwrap(); // observes completion, must not re-add
         assert_eq!(metric(&metrics, "resident_bytes"), 8);
+        pool.evict(&path);
+        assert_eq!(metric(&metrics, "resident_bytes"), 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn racing_publishers_of_one_stream_keep_it_resident() {
+        let content = vec![5u8; 20_000];
+        let path = temp_file("publish_race.bin", &content);
+        let metrics = Arc::new(EngineMetrics::new());
+        let pool = FileBufferPool::with_metrics(Arc::clone(&metrics));
+        let stream = pool.read_streaming(&path, 1024).unwrap();
+        let bytes = stream.wait_all().unwrap();
+        // The interleaving two sessions can produce: one publisher has
+        // moved the stream's bytes into the warm map and not yet retired
+        // the stream when the other publishes the same stream.
+        pool.buffers
+            .lock()
+            .insert(path.clone(), PoolEntry { bytes: Arc::clone(&bytes), last_used: pool.tick() });
+        let served = pool.publish_stream(&path, &stream, bytes);
+        assert!(Arc::ptr_eq(&served, stream.bytes()));
+        assert_eq!(metric(&metrics, "resident_bytes"), content.len() as u64);
         pool.evict(&path);
         assert_eq!(metric(&metrics, "resident_bytes"), 0);
         std::fs::remove_file(&path).ok();

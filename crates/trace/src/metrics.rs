@@ -35,9 +35,9 @@
 //! | `stream_failures` / `stream_failed_bytes` | a streaming reader hits a terminal I/O error; the bytes are the partial prefix it had completed |
 //! | `template_hits` / `template_misses` | access-path template cache lookups (a miss is a compilation) |
 //! | `shred_hits` / `shred_misses` | shred-pool lookups during planning |
-//! | `morsels_dispatched` | each morsel a parallel run hands to the worker pool |
+//! | `morsels_dispatched` | each morsel a query hands to the worker pool (one for an unsplit query) |
 //! | `morsels_failed` | each morsel whose gate or pipeline surfaced an error |
-//! | `queries` / `parallel_queries` | each query executed / each that took the morsel-parallel path |
+//! | `queries` / `parallel_queries` | each query executed / each that ran two or more morsels |
 //! | `resident_bytes` | gauge: bytes currently held by warm buffers + in-flight streams |
 //! | `peak_resident_bytes` | high-water mark of `resident_bytes` |
 //! | `file_pool_evictions` | each warm entry the file pool evicted to stay under its byte budget |
@@ -83,7 +83,7 @@ pub struct EngineMetrics {
     pub morsels_failed: AtomicU64,
     /// Queries executed.
     pub queries: AtomicU64,
-    /// Queries that took the morsel-parallel path.
+    /// Queries that ran two or more morsels.
     pub parallel_queries: AtomicU64,
     /// Gauge: bytes currently resident in file buffers (warm pool plus
     /// in-flight stream allocations).
@@ -165,7 +165,7 @@ impl EngineMetrics {
         self.morsels_failed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// One query executed; `parallel` if it took the morsel-parallel path.
+    /// One query executed; `parallel` if it ran two or more morsels.
     pub fn query(&self, parallel: bool) {
         self.queries.fetch_add(1, Ordering::Relaxed);
         if parallel {

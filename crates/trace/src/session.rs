@@ -21,7 +21,7 @@ use crate::Json;
 /// Per-query deltas charged to a session when a query completes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SessionQueryCharge {
-    /// The query took the morsel-parallel path.
+    /// The query ran two or more morsels.
     pub parallel: bool,
     /// Rows the query returned.
     pub rows_out: u64,
@@ -35,7 +35,7 @@ pub struct SessionQueryCharge {
     pub shred_hits: u64,
     /// Shred-pool misses this query generated.
     pub shred_misses: u64,
-    /// Morsels dispatched for this query (0 on the serial path).
+    /// Morsels dispatched for this query (1 when it was not split).
     pub morsels: u64,
     /// End-to-end wall time of the query.
     pub wall: Duration,
@@ -49,7 +49,7 @@ pub struct SessionQueryCharge {
 pub struct SessionMetrics {
     /// Queries this session executed.
     pub queries: AtomicU64,
-    /// Of those, queries that took the morsel-parallel path.
+    /// Of those, queries that ran two or more morsels.
     pub parallel_queries: AtomicU64,
     /// Total rows returned to this session.
     pub rows_out: AtomicU64,

@@ -28,7 +28,7 @@
 //! ```
 //!
 //! Table flags at startup: `--table name=path:ncols` (repeatable),
-//! `--parallelism N`, `--admission N` (concurrent parallel-query cap).
+//! `--parallelism N`, `--admission N` (concurrent-query cap).
 
 use std::io::{BufRead, BufReader, Write};
 use std::sync::Arc;

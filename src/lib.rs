@@ -13,23 +13,23 @@
 //! | [`formats`] | CSV, fixed-width binary (`fbin`), and ROOT-like (`rootsim`) raw formats |
 //! | [`posmap`] | positional maps (NoDB-style structural indexes) |
 //! | [`access`] | access paths: external tables, in-situ, JIT-specialized; shred fetchers |
-//! | [`exec`] | morsel-driven parallel execution: partitioner, worker pool, merge layer |
+//! | [`exec`] | morsel-driven execution: partitioner, worker pool, merge layer |
 //! | [`engine`] | the RAW engine: catalog, mini-SQL, adaptive planner, shred pool |
 //! | [`higgs`] | the ATLAS Higgs use case: hand-written baseline vs. RAW |
 //!
 //! ## Parallelism
 //!
-//! Eligible queries (single-table, non-grouped, over CSV/fbin/rootsim-event
-//! sources in in-situ or JIT mode) execute morsel-parallel on
+//! Every query runs as morsels on one engine-global pool of
 //! [`engine::EngineConfig::parallelism`] worker threads (default: all
-//! cores). The morsel grid depends only on the file, so parallel results
-//! are identical for every worker count >= 2, cold and warm; integer
-//! results also match the serial engine bit-for-bit. Float SUM/AVG are
-//! deterministic per access path but may differ in final-bit rounding when
-//! the path changes (serial vs parallel, or a warm run answered from the
-//! shred pool's serial scan): summation reassociates. `parallelism: 1`
-//! bypasses the subsystem entirely and reproduces the serial engine
-//! bit-for-bit. See [`exec`].
+//! cores). Eligible queries (over CSV/fbin/ibin/rootsim sources in in-situ
+//! or JIT mode, joins and `GROUP BY` included) split into many morsels;
+//! everything else, and every query at `parallelism: 1`, is one whole-file
+//! morsel. The morsel grid depends only on the file, so split results are
+//! identical for every worker count >= 2, cold and warm; integer results
+//! also match the unsplit run bit-for-bit. Float SUM/AVG are deterministic
+//! per grid but may differ in final-bit rounding between split and unsplit
+//! runs (or a warm run answered from the shred pool's whole-file scan):
+//! summation reassociates. See [`exec`].
 //!
 //! ## Quick start
 //!

@@ -121,3 +121,32 @@ fn serial_explain_analyze_has_no_morsel_table() {
     assert_eq!(queries, 1);
     assert_eq!(parallel, 0);
 }
+
+/// EXPLAIN shows the plan that runs: at parallelism 4 with small morsels it
+/// carries the `parallel:` line, whose morsel count is the one the query
+/// then reports; at parallelism 1 nothing is split, the plan has no
+/// `parallel:` line, and the query runs (and is traced) as one morsel.
+#[test]
+fn explain_shows_the_plan_that_runs() {
+    let dir = TempDir::new("plan");
+    let engine = engine_over(&dir);
+    let sql = "SELECT MAX(col3) FROM t_csv WHERE col1 < 100";
+
+    let plan = engine.explain(sql).unwrap();
+    let line = plan.iter().find(|l| l.starts_with("parallel:")).expect("split plan");
+    let result = engine.query(sql).unwrap();
+    assert!(result.stats.morsels >= 2, "query split: {}", result.stats.morsels);
+    assert!(
+        line.starts_with(&format!("parallel: {} morsels x 4 threads", result.stats.morsels)),
+        "EXPLAIN's morsel count matches the run: {line}"
+    );
+
+    engine.set_config(EngineConfig { parallelism: 1, ..engine.config() });
+    let plan = engine.explain(sql).unwrap();
+    assert!(!plan.iter().any(|l| l.starts_with("parallel:")), "unsplit plan: {plan:?}");
+    let result = engine.query(sql).unwrap();
+    assert_eq!(result.stats.morsels, 1);
+    assert_eq!(result.stats.workers, 1);
+    let trace = result.stats.trace.as_ref().expect("every query is traced");
+    assert_eq!(trace.morsels.len(), 1);
+}
